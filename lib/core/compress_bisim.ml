@@ -1,24 +1,10 @@
 let compress_of_partition g assignment =
-  let n = Digraph.n g in
-  if Array.length assignment <> n then
+  if Array.length assignment <> Digraph.n g then
     invalid_arg "Compress_bisim: assignment length mismatch";
-  if n = 0 then Compressed.v ~graph:Digraph.empty ~node_map:[||]
-  else begin
-    let assignment = Partition.normalize_assignment assignment in
-    let k = Array.fold_left (fun acc b -> Mono.imax acc (b + 1)) 0 assignment in
-    let labels = Array.make k 0 in
-    Array.iteri (fun v b -> labels.(b) <- Digraph.label g v) assignment;
-    let seen = Mono.Ptbl.create 1024 in
-    let edges = ref [] in
-    Digraph.iter_edges g (fun u v ->
-        let e = (assignment.(u), assignment.(v)) in
-        if not (Mono.Ptbl.mem seen e) then begin
-          Mono.Ptbl.replace seen e ();
-          edges := e :: !edges
-        end);
-    let graph = Digraph.make ~n:k ~labels !edges in
-    Compressed.v ~graph ~node_map:assignment
-  end
+  let assignment = Partition.normalize_assignment assignment in
+  let count = Array.fold_left (fun acc b -> Mono.imax acc (b + 1)) 0 assignment in
+  let graph = Quotient.build ~labelled:true ~self_loops:true g ~count assignment in
+  Compressed.v ~graph ~node_map:assignment
 
 let compress ?pool g =
   Obs.span "compressB" (fun () ->

@@ -17,8 +17,13 @@
 val compress : ?pool:Pool.t -> Digraph.t -> Compressed.t
 
 (** [compress_of_partition g assignment] builds [Gr] from a given stable
-    partition (shared with the incremental layer).  The assignment must be
-    a bisimulation partition; [compress] guarantees the {e maximum} one. *)
+    partition (shared with the incremental layer) with {!Quotient.build},
+    self-loops kept.  The assignment must be a bisimulation partition;
+    [compress] guarantees the {e maximum} one.  Hypernodes are numbered in
+    order of first appearance in [assignment].  O(|V| + |E|).
+    @raise Invalid_argument if [assignment] is not of length [|V|], or if
+    some block holds members with different labels — such a block is no
+    bisimulation class, and no label for its hypernode would be right. *)
 val compress_of_partition : Digraph.t -> int array -> Compressed.t
 
 (** [answer ?cache p c] evaluates pattern [p] on the compressed graph with

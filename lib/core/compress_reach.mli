@@ -12,11 +12,13 @@
     The query rewriting function [F] maps [QR(v,w)] to [QR(R(v), R(w))] in
     O(1); no post-processing is needed (Fig 3(b)). *)
 
-(** [compress g] computes [Gr = R(G)].  O(|V|·|E|/w + |Gr|²): equivalence
-    at SCC-condensation granularity with bitset ancestor/descendant sets —
-    an optimised implementation of the paper's algorithm.  [?pool]
-    parallelises the quotient's transitive reduction (default:
-    {!Pool.default}). *)
+(** [compress g] computes [Gr = R(G)].  O(|V|·|E|/w + |Eq|·|Vr|/w), [Eq]
+    the class-level quotient's edges: equivalence at SCC-condensation
+    granularity with bitset ancestor/descendant sets — an optimised
+    implementation of the paper's algorithm — then the quotient
+    ({!Quotient.build}) and its transitive reduction
+    ({!Transitive.reduction_dag}).  [?pool] parallelises the reduction
+    (default: {!Pool.default}). *)
 val compress : ?pool:Pool.t -> Digraph.t -> Compressed.t
 
 (** [compress_paper g] is algorithm [compressR] exactly as the paper states
@@ -33,7 +35,9 @@ val compress : ?pool:Pool.t -> Digraph.t -> Compressed.t
 val compress_paper : ?pool:Pool.t -> Digraph.t -> Compressed.t
 
 (** [compress_of_equiv g re] builds [Gr] from an already-computed
-    equivalence relation (shared with the incremental layer). *)
+    equivalence relation (shared with the incremental layer): the quotient
+    without its diagonal, transitively reduced, plus a self-loop on each
+    cyclic class. *)
 val compress_of_equiv : ?pool:Pool.t -> Digraph.t -> Reach_equiv.t -> Compressed.t
 
 (** [rewrite c ~source ~target] is [F(QR(source,target))]: the pair of

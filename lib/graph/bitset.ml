@@ -67,18 +67,20 @@ let equal a b =
   let rec go i = i >= n || (a.words.(i) = b.words.(i) && go (i + 1)) in
   go 0
 
+(* Toplevel recursion rather than a [ref] flag keeps the sweep visibly
+   allocation-free for callers inside [@lint.hot_loop] regions. *)
+let rec union_words aw bw i changed =
+  if i >= Array.length aw then changed
+  else begin
+    let a = aw.(i) in
+    let u = a lor bw.(i) in
+    aw.(i) <- u;
+    union_words aw bw (i + 1) (changed || u <> a)
+  end
+
 let union_into ~into src =
   same_universe into src "union_into";
-  let changed = ref false in
-  let aw = into.words and bw = src.words in
-  for i = 0 to Array.length aw - 1 do
-    let u = aw.(i) lor bw.(i) in
-    if u <> aw.(i) then begin
-      aw.(i) <- u;
-      changed := true
-    end
-  done;
-  !changed
+  union_words into.words src.words 0 false
 
 let inter_into ~into src =
   same_universe into src "inter_into";

@@ -170,25 +170,26 @@ let mirror_csr ~n (out_off : int array) (out_adj : int array) =
   done;
   (in_off, in_adj)
 
-let of_edge_arrays ~n ~labels src dst =
+let of_columns ~n ~labels src dst =
   let out_off, out_adj = csr_of_edges ~n src dst in
   let in_off, in_adj = mirror_csr ~n out_off out_adj in
   mk_flat ~n ~labels ~out_off ~out_adj ~in_off ~in_adj
 
-let make_arrays ~n ?labels edges =
+let check_edge n u v =
+  if u < 0 || u >= n || v < 0 || v >= n then
+    invalid_arg
+      (Printf.sprintf "Digraph.make: edge (%d,%d) out of range [0,%d)" u v n)
+
+let of_edge_arrays ~n ?labels src dst =
   if n < 0 then invalid_arg "Digraph.make: negative node count";
+  if Array.length src <> Array.length dst then
+    invalid_arg "Digraph.of_edge_arrays: column length mismatch";
   let labels = check_labels n labels in
-  let m0 = Array.length edges in
-  let src = Array.make m0 0 and dst = Array.make m0 0 in
-  Array.iteri
-    (fun i (u, v) ->
-      if u < 0 || u >= n || v < 0 || v >= n then
-        invalid_arg
-          (Printf.sprintf "Digraph.make: edge (%d,%d) out of range [0,%d)" u v n);
-      src.(i) <- u;
-      dst.(i) <- v)
-    edges;
-  of_edge_arrays ~n ~labels src dst
+  Array.iteri (fun i u -> check_edge n u dst.(i)) src;
+  of_columns ~n ~labels src dst
+
+let make_arrays ~n ?labels edges =
+  of_edge_arrays ~n ?labels (Array.map fst edges) (Array.map snd edges)
 
 let make ~n ?labels edges = make_arrays ~n ?labels (Array.of_list edges)
 let empty = make ~n:0 []
@@ -279,7 +280,7 @@ module Builder = struct
 
   let build b =
     let labels = Array.sub b.labels 0 b.count in
-    of_edge_arrays ~n:b.count ~labels
+    of_columns ~n:b.count ~labels
       (Array.sub b.src 0 b.edge_count)
       (Array.sub b.dst 0 b.edge_count)
 end
@@ -575,7 +576,7 @@ let append_edges g extra =
       dst.(!i) <- v;
       incr i)
     extra;
-  of_edge_arrays ~n:g.n ~labels:(Array.copy (labels g)) src dst
+  of_columns ~n:g.n ~labels:(Array.copy (labels g)) src dst
 
 let add_edges g es =
   List.iter
@@ -601,7 +602,7 @@ let filter_rebuild g ~removed ~extra =
       dst.(!i) <- v;
       incr i)
     extra;
-  of_edge_arrays ~n:g.n ~labels:(Array.copy (labels g)) (Array.sub src 0 !i)
+  of_columns ~n:g.n ~labels:(Array.copy (labels g)) (Array.sub src 0 !i)
     (Array.sub dst 0 !i)
 
 let remove_edges g es =
@@ -654,7 +655,7 @@ let induced g nodes =
               incr i
           | None -> ()))
     nodes;
-  (of_edge_arrays ~n:k ~labels:sub_labels src dst, Array.copy nodes)
+  (of_columns ~n:k ~labels:sub_labels src dst, Array.copy nodes)
 
 (* ------------------------------------------------------------------ *)
 (* Backend conversions *)

@@ -48,6 +48,14 @@ val make : n:int -> ?labels:int array -> (int * int) list -> t
     used by generators producing millions of edges. *)
 val make_arrays : n:int -> ?labels:int array -> (int * int) array -> t
 
+(** [of_edge_arrays ~n ~labels src dst] is {!make} for the edges
+    [(src.(i), dst.(i))] held as two int columns: no tuple is boxed, and
+    the CSR comes out of two counting sorts in O(n + m).  The columns are
+    read, not kept.
+    @raise Invalid_argument as {!make}, or if the columns differ in
+    length. *)
+val of_edge_arrays : n:int -> ?labels:int array -> int array -> int array -> t
+
 (** [empty] is the graph with no nodes and no edges. *)
 val empty : t
 

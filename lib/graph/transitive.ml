@@ -1,26 +1,57 @@
-(* Descendant sets at SCC granularity, then expanded to nodes.  Ascending SCC
-   id is reverse topological order (see Scc), so one sequential pass
-   suffices; the parallel path schedules by topological level instead —
-   every SCC's successors sit at strictly smaller levels, so all SCCs of one
-   level propagate independently.  Either way each set's content is a pure
-   function of the graph, so the two schedules agree bit for bit. *)
+(* Descendant sets at SCC granularity.  Ascending SCC id is reverse
+   topological order (see Scc), so one sequential pass suffices; the parallel
+   path schedules by topological level instead — every SCC's successors sit
+   at strictly smaller levels, so all SCCs of one level propagate
+   independently.  Either way each set's content is a pure function of the
+   graph, so the two schedules agree bit for bit. *)
 
 let get_pool = function Some p -> p | None -> Pool.default ()
 
-let scc_descendant_sets ~pool g scc =
-  let cond = Scc.condensation g scc in
+(* [close off adj scc sets keep c] fills [sets.(c)] — the SCCs reachable
+   from SCC [c] by a nonempty path — from the finished sets of its
+   successor SCCs.  Those are unioned in first, so that in between
+   [sets.(c)] is exactly the union of the strict descendant sets of c's
+   successors: on a DAG (one node per SCC) an out-edge of c's node is
+   redundant iff its head is in that union, and a non-empty [keep] (indexed
+   by out-CSR edge position) records the verdict for each of them.  The
+   sets are transitively closed, so a successor already in the set was
+   absorbed by an earlier union and needs no O(k/63) sweep of its own. *)
+let[@lint.hot_loop] close off adj (scc : Scc.t) sets keep c =
+  let s = sets.(c) and comp = scc.Scc.comp and ms = scc.Scc.members.(c) in
+  for i = 0 to Array.length ms - 1 do
+    let v = ms.(i) in
+    for e = off.(v) to off.(v + 1) - 1 do
+      let c' = comp.(adj.(e)) in
+      if c' <> c && not (Bitset.mem s c') then
+        ignore (Bitset.union_into ~into:s sets.(c'))
+    done
+  done;
+  if Array.length keep > 0 then begin
+    let v = ms.(0) in
+    for e = off.(v) to off.(v + 1) - 1 do
+      keep.(e) <- not (Bitset.mem s comp.(adj.(e)))
+    done
+  end;
+  for i = 0 to Array.length ms - 1 do
+    let v = ms.(i) in
+    for e = off.(v) to off.(v + 1) - 1 do
+      let c' = comp.(adj.(e)) in
+      if c' <> c then Bitset.add s c'
+    done
+  done;
+  if scc.Scc.nontrivial.(c) then Bitset.add s c
+
+(* [scc_descendant_sets ~pool ~keep g scc] is the descendant set of every
+   SCC, over the SCC-id universe; [keep] is [[||]] or, for a DAG, the
+   per-edge reduction verdicts that {!close} writes. *)
+let scc_descendant_sets ~pool ~keep g scc =
+  let off, adj = Digraph.out_csr g in
+  let comp = scc.Scc.comp in
   let k = scc.Scc.count in
   let sets = Array.init k (fun _ -> Bitset.create k) in
-  let fill c =
-    let s = sets.(c) in
-    Digraph.iter_succ cond c (fun c' ->
-        Bitset.add s c';
-        ignore (Bitset.union_into ~into:s sets.(c')));
-    if scc.Scc.nontrivial.(c) then Bitset.add s c
-  in
   if Pool.domains pool = 1 then
     for c = 0 to k - 1 do
-      fill c
+      close off adj scc sets keep c
     done
   else begin
     let buckets =
@@ -29,8 +60,13 @@ let scc_descendant_sets ~pool g scc =
           let max_level = ref 0 in
           for c = 0 to k - 1 do
             let l = ref 0 in
-            Digraph.iter_succ cond c (fun c' ->
-                if level.(c') >= !l then l := level.(c') + 1);
+            Array.iter
+              (fun v ->
+                for e = off.(v) to off.(v + 1) - 1 do
+                  let c' = comp.(adj.(e)) in
+                  if c' <> c && level.(c') >= !l then l := level.(c') + 1
+                done)
+              scc.Scc.members.(c);
             level.(c) <- !l;
             if !l > !max_level then max_level := !l
           done;
@@ -48,15 +84,15 @@ let scc_descendant_sets ~pool g scc =
     Array.iter
       (fun bucket ->
         Pool.parallel_for pool ~n:(Array.length bucket) (fun i ->
-            fill bucket.(i)))
+            close off adj scc sets keep bucket.(i)))
       buckets
   end;
-  (cond, sets)
+  sets
 
 let descendant_sets ?pool g =
   let pool = get_pool pool in
   let scc = Scc.compute g in
-  let _, scc_sets = scc_descendant_sets ~pool g scc in
+  let scc_sets = scc_descendant_sets ~pool ~keep:[||] g scc in
   let n = Digraph.n g in
   let res = Array.make n (Bitset.create 0) in
   Pool.parallel_for pool ~n (fun v ->
@@ -69,32 +105,33 @@ let descendant_sets ?pool g =
 
 let ancestor_sets ?pool g = descendant_sets ?pool (Digraph.reverse g)
 
+(* One SCC pass serves as the cycle check and as the schedule; the
+   redundancy verdicts fall out of the descendant-set pass itself, at
+   O(|E|·|V|/63) words with no per-source scratch set.  Kept edges are a
+   subsequence of each sorted out-slice, so the reduced CSR is canonical
+   as it stands. *)
 let reduction_dag ?pool dag =
   let pool = get_pool pool in
-  let scc = Scc.compute dag in
-  if scc.Scc.count <> Digraph.n dag || Array.exists (fun b -> b) scc.Scc.nontrivial
-  then invalid_arg "Transitive.reduction_dag: graph has a cycle";
-  let desc = descendant_sets ~pool dag in
   let n = Digraph.n dag in
-  (* Per-source redundancy scans are independent; collect per-node so the
-     final edge list does not depend on scheduling (Digraph.make sorts and
-     dedups anyway). *)
-  let keep = Array.make n [] in
-  Pool.parallel_for pool ~n (fun u ->
-      let acc = ref [] in
-      Digraph.iter_succ dag u (fun v ->
-          (* (u,v) is redundant iff v is reachable from another successor. *)
-          let redundant = ref false in
-          Digraph.iter_succ dag u (fun w ->
-              if (not !redundant) && w <> v && Bitset.mem desc.(w) v then
-                redundant := true);
-          if not !redundant then acc := (u, v) :: !acc);
-      keep.(u) <- !acc);
-  let edges = ref [] in
-  for u = n - 1 downto 0 do
-    edges := List.rev_append keep.(u) !edges
+  let scc = Scc.compute dag in
+  if scc.Scc.count <> n || Array.exists (fun b -> b) scc.Scc.nontrivial
+  then invalid_arg "Transitive.reduction_dag: graph has a cycle";
+  let off, adj = Digraph.out_csr dag in
+  let keep = Array.make (Array.length adj) false in
+  ignore (scc_descendant_sets ~pool ~keep dag scc);
+  let out_off = Array.make (n + 1) 0 and out_adj = Array.copy adj in
+  let j = ref 0 in
+  for u = 0 to n - 1 do
+    for e = off.(u) to off.(u + 1) - 1 do
+      if keep.(e) then begin
+        out_adj.(!j) <- adj.(e);
+        incr j
+      end
+    done;
+    out_off.(u + 1) <- !j
   done;
-  Digraph.make ~n ~labels:(Digraph.labels dag) !edges
+  Digraph.of_csr_unchecked ~n ~labels:(Array.copy (Digraph.labels dag))
+    ~out_off ~out_adj:(Array.sub out_adj 0 !j)
 
 let aho_reduction ?pool g =
   let scc = Scc.compute g in

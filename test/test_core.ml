@@ -231,6 +231,70 @@ let compress_bisim_props =
              (Simulation.eval p1 (Compressed.graph c))));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The shared quotient builder *)
+
+(* Mostly acyclic labelled graphs with hubs, whose reachability quotients
+   have a hub class with most classes as successors. *)
+let arb_hub_g = Testutil.arbitrary_hub_graph ~max_n:150 ~back_per_20:1 ~max_labels:3
+
+(* The quotient the obvious way: one hash-table entry per block pair. *)
+let naive_quotient g assignment =
+  let a = Partition.normalize_assignment assignment in
+  let k = Array.fold_left (fun acc b -> max acc (b + 1)) 0 a in
+  let labels = Array.make k 0 in
+  Array.iteri (fun v b -> labels.(b) <- Digraph.label g v) a;
+  let seen = Hashtbl.create 64 in
+  Digraph.iter_edges g (fun u v -> Hashtbl.replace seen (a.(u), a.(v)) ());
+  (Digraph.make ~n:k ~labels (Hashtbl.fold (fun e () acc -> e :: acc) seen []), a)
+
+(* Label-respecting partitions of [g]: the maximum bisimulation, the
+   coarser k-bisimulations for k = 0, 1, 2, and the discrete partition
+   with its block ids reversed. *)
+let label_respecting_partitions g =
+  let n = Digraph.n g in
+  Bisimulation.max_bisimulation g
+  :: Array.init n (fun v -> n - 1 - v)
+  :: List.map (fun k -> Kbisim.compute g ~k) [ 0; 1; 2 ]
+
+let quotient_matches_naive g =
+  List.for_all
+    (fun part ->
+      let c = Compress_bisim.compress_of_partition g part in
+      let expected, a = naive_quotient g part in
+      let gr = Compressed.graph c in
+      Digraph.n gr = Digraph.n expected
+      && Digraph.labels gr = Digraph.labels expected
+      && Testutil.edges_list gr = Testutil.edges_list expected
+      && c.Compressed.node_map = a)
+    (label_respecting_partitions g)
+
+let quotient_props =
+  [
+    qtest "compress_of_partition equals the naive quotient" arb_g
+      quotient_matches_naive;
+    qtest ~count:100 "compress_of_partition equals the naive quotient (hubs)"
+      arb_hub_g quotient_matches_naive;
+    qtest ~count:100 "compressR equals the Fig 5 algorithm (hubs)" arb_hub_g
+      (fun g ->
+        Verify.same_compression (Compress_reach.compress g)
+          (Compress_reach.compress_paper g));
+    qtest ~count:100 "compressR queries preserved (hubs)" arb_hub_g (fun g ->
+        Verify.reach_preserved g (Compress_reach.compress g));
+  ]
+
+let quotient_rejects_mixed_labels () =
+  (* Nodes 0 and 1 have the same (empty) successors but different labels:
+     a block holding both is no bisimulation class. *)
+  let g = Digraph.make ~n:3 ~labels:[| 0; 1; 0 |] [ (2, 0) ] in
+  Alcotest.(check bool) "mixed-label block rejected" true
+    (match Compress_bisim.compress_of_partition g [| 0; 0; 1 |] with
+    | exception Invalid_argument _ -> true
+    | _ -> false);
+  Alcotest.(check int) "label-respecting block accepted" 2
+    (Digraph.n
+       (Compressed.graph (Compress_bisim.compress_of_partition g [| 0; 1; 0 |])))
+
 let compress_bisim_recommendation () =
   (* Example 5 + Example 1: evaluating on Gr gives the Example 1 answer. *)
   let g = Testutil.recommendation () in
@@ -503,6 +567,10 @@ let () =
             ak_index_not_pattern_preserving;
         ]
         @ compress_bisim_props );
+      ( "quotient",
+        Alcotest.test_case "mixed-label block rejected" `Quick
+          quotient_rejects_mixed_labels
+        :: quotient_props );
       ( "compressed",
         [
           Alcotest.test_case "basics" `Quick compressed_unit;

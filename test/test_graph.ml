@@ -500,6 +500,36 @@ let reduction_dag_props =
           | _ -> false);
   ]
 
+(* DAGs of up to 300 nodes with hubs: a hub's successors reach each other,
+   so most of its edges are redundant — the regime [arb_dag] never
+   reaches. *)
+let arb_hub_dag = Testutil.arbitrary_hub_graph ~max_n:300 ~back_per_20:0 ~max_labels:1
+
+let pool2 = lazy (Pool.create ~domains:2 ())
+let pool4 = lazy (Pool.create ~domains:4 ())
+
+let reduction_hub_props =
+  [
+    qtest ~count:60 "hub reduction keeps exactly the irredundant edges"
+      arb_hub_dag (fun dag ->
+        let red = Transitive.reduction_dag dag in
+        (* [(u,v)] is redundant iff another successor of [u] reaches [v]. *)
+        let redundant u v =
+          Digraph.fold_succ dag u
+            (fun found w -> found || (w <> v && Traversal.bfs_reaches dag w v))
+            false
+        in
+        Digraph.fold_edges red (fun ok u v -> ok && Digraph.mem_edge dag u v) true
+        && Digraph.fold_edges dag
+             (fun ok u v -> ok && Digraph.mem_edge red u v = not (redundant u v))
+             true);
+    qtest ~count:60 "hub reduction identical for 1, 2 and 4 domains"
+      arb_hub_dag (fun dag ->
+        let seq = Transitive.reduction_dag ~pool:(Pool.create ~domains:1 ()) dag in
+        Digraph.equal seq (Transitive.reduction_dag ~pool:(Lazy.force pool2) dag)
+        && Digraph.equal seq (Transitive.reduction_dag ~pool:(Lazy.force pool4) dag));
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Generators *)
 
@@ -774,7 +804,7 @@ let () =
         ]
         @ scc_props );
       ("ranks", rank_props);
-      ("transitive", transitive_props @ reduction_dag_props);
+      ("transitive", transitive_props @ reduction_dag_props @ reduction_hub_props);
       ( "generators",
         [
           Alcotest.test_case "basics" `Quick generators_unit;

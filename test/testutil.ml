@@ -210,6 +210,46 @@ let graph_pattern_print (g, p) =
 let arbitrary_graph_pattern ?max_n () =
   (graph_pattern_gen ?max_n (), graph_pattern_print)
 
+(* Hub-shaped graphs, the regime where one quotient class has most classes
+   as successors: [2n] random forward edges over a shuffled order, [back]
+   random edges that may close cycles, and [hubs] sources near the top of
+   the order pointing at about nine in ten of the nodes below them.  With
+   [back = 0] the graph is a DAG. *)
+let hub_graph_gen ~max_n ~back_per_20 ~max_labels =
+  let open QCheck2.Gen in
+  let* seed = int_range 0 99999 in
+  let* n = int_range 2 max_n in
+  let* hubs = int_range 1 3 in
+  let* label_count = int_range 1 max_labels in
+  let rng = Random.State.make [| seed |] in
+  let perm = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = perm.(i) in
+    perm.(i) <- perm.(j);
+    perm.(j) <- t
+  done;
+  let edges = ref [] in
+  let add u v = edges := (perm.(u), perm.(v)) :: !edges in
+  for _ = 1 to 2 * n do
+    let u = Random.State.int rng n and v = Random.State.int rng n in
+    if u < v then add u v else if v < u then add v u
+  done;
+  for _ = 1 to n * back_per_20 / 20 do
+    add (Random.State.int rng n) (Random.State.int rng n)
+  done;
+  for _ = 1 to hubs do
+    let h = Random.State.int rng (Mono.imax 1 (n / 10)) in
+    for v = h + 1 to n - 1 do
+      if Random.State.int rng 10 < 9 then add h v
+    done
+  done;
+  let labels = Array.init n (fun _ -> Random.State.int rng label_count) in
+  pure (Digraph.make ~n ~labels !edges)
+
+let arbitrary_hub_graph ~max_n ~back_per_20 ~max_labels =
+  (hub_graph_gen ~max_n ~back_per_20 ~max_labels, digraph_print)
+
 (* Edge list in lexicographic order, via the allocation-free iterator (the
    core API no longer materialises boxed edge lists). *)
 let edges_list g =
