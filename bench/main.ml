@@ -226,13 +226,13 @@ let run_csr opts () =
   Format.fprintf ppf "(json written to %s)@." path
 
 (* ------------------------------------------------------------------ *)
-(* Pluggable-storage microbench: the BENCH_csr graph serialised in the
-   three snapshot kinds ('G' flat, 'M' mapped, 'V' varint), measuring
-   bytes/edge on disk and resident, load latency — including the O(1)
-   claim of the mapped kind: open time must stay flat while the graph
-   grows 10x — and BFS + compressR throughput per backend, with every
-   backend's outputs checked identical to flat's.  Written to
-   BENCH_storage.json so the storage layer is tracked in CI. *)
+(* Storage microbench: the BENCH_csr graph serialised in both snapshot
+   kinds ('G' flat, 'M' mapped), measuring bytes/edge on disk and
+   resident, load latency — including the O(1) claim of the mapped kind:
+   open time must stay flat while the graph grows 10x — and BFS +
+   compressR throughput per backend, with every backend's outputs
+   checked identical to flat's.  Written to BENCH_storage.json so the
+   storage layer is tracked in CI. *)
 
 let with_temp_file f =
   let path = Filename.temp_file "qpgc_storage" ".snap" in
@@ -244,7 +244,7 @@ let file_length path =
   Int64.to_int (In_channel.with_open_bin path In_channel.length)
 
 let run_storage opts () =
-  section "Pluggable storage (flat / mmap / varint)";
+  section "Storage backends (flat / mmap)";
   let time = Obs.time in
   let n = max 1024 (int_of_float (100_000. *. opts.Experiments.scale)) in
   let m = 3 * n in
@@ -291,7 +291,6 @@ let run_storage opts () =
       [
         ("flat", Digraph.Flat, false);
         ("mmap", Digraph.Mapped, true);
-        ("varint", Digraph.Varint, false);
       ]
   in
   (* The O(1)-open claim: repeated zero-copy opens of a mapped snapshot at

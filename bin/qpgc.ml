@@ -85,9 +85,14 @@ let setup_obs trace metrics trace_gc =
 let obs_term = Term.(const setup_obs $ trace_arg $ metrics_arg $ trace_gc_arg)
 
 (* [Graph_io.load] sniffs the snapshot magic, so every subcommand accepts
-   text and binary graph files interchangeably. *)
+   text and binary graph files interchangeably.  A graph that opened on
+   the mapped backend is validated once before use. *)
 let read_graph ?(mmap = false) path =
-  try fst (Graph_io.load ~mmap path) with
+  try
+    let ((g, _) as loaded) = Graph_io.load ~mmap path in
+    Graph_io.check_mapped g;
+    loaded
+  with
   | Graph_io.Parse_error (line, msg) ->
       Printf.eprintf "%s:%d: %s\n" path line msg;
       exit 1
@@ -116,23 +121,19 @@ let mmap_arg =
            heap, so opening is O(1) in the graph size.  Other formats load \
            eagerly as usual.")
 
+(* The storage backends a binary output can target, shared by --adj and
+   convert --format. *)
+let backends = [ ("flat", Digraph.Flat); ("mmap", Digraph.Mapped) ]
+
 (* Shared --adj flag: the adjacency encoding of binary outputs. *)
 let adj_arg =
   Arg.(
     value
-    & opt
-        (Arg.enum
-           [
-             ("flat", Digraph.Flat);
-             ("varint", Digraph.Varint);
-             ("mmap", Digraph.Mapped);
-           ])
-        Digraph.Flat
+    & opt (Arg.enum backends) Digraph.Flat
     & info [ "adj" ] ~docv:"ENC"
         ~doc:
           "Adjacency encoding for binary snapshot outputs: $(b,flat) (kind \
-           'G', the default), $(b,varint) (kind 'V', gap + LEB128 delta \
-           coding, 2-4x smaller) or $(b,mmap) (kind 'M', 8-byte-aligned \
+           'G', the default) or $(b,mmap) (kind 'M', 8-byte-aligned \
            sections built for zero-copy $(b,--mmap) loading).")
 
 (* ------------------------------------------------------------------ *)
@@ -199,10 +200,10 @@ let graph_arg =
 let stats_cmd =
   let run () domains mmap path =
     setup_domains domains;
-    let g = read_graph ~mmap path in
+    let g, _ = read_graph ~mmap path in
     (* Measure before the stats pass: computing stats may force the dense
-       escape-hatch views on a mapped or varint backend, which would count
-       against the resident figure. *)
+       escape-hatch views on the mapped backend, which would count against
+       the resident figure. *)
     let mem = Digraph.memory_bytes g in
     Format.printf "%a@." Graph_stats.pp (Graph_stats.compute g);
     let per_edge m =
@@ -211,15 +212,12 @@ let stats_cmd =
     in
     Printf.printf "storage     : %s backend, %d resident bytes (%.1f bytes/edge)\n"
       (Digraph.backend_name g) mem (per_edge mem);
-    (* Resident footprint of the same graph on the other backends, so the
-       encodings can be compared without converting files by hand. *)
-    List.iter
-      (fun (name, build) ->
-        if name <> Digraph.backend_name g then
-          let m = Digraph.memory_bytes (build g) in
-          Printf.printf "  as %-7s: %d bytes (%.1f bytes/edge)\n" name m
-            (per_edge m))
-      [ ("flat", Digraph.to_flat); ("varint", Digraph.to_varint) ];
+    (* Resident footprint of the same graph on the heap, so a mapped
+       snapshot can be compared without converting files by hand. *)
+    if Digraph.backend g <> Digraph.Flat then begin
+      let m = Digraph.memory_bytes (Digraph.to_flat g) in
+      Printf.printf "  as flat   : %d bytes (%.1f bytes/edge)\n" m (per_edge m)
+    end;
     let rc = Compress_reach.compress g in
     Printf.printf "reach Gr    : |Vr| = %d, |Er| = %d  (RCr = %.2f%%)\n"
       (Digraph.n (Compressed.graph rc))
@@ -271,7 +269,7 @@ let compress_cmd =
   in
   let run () domains mmap adj path mode output map_file save_file binary =
     setup_domains domains;
-    let g = read_graph ~mmap path in
+    let g, _ = read_graph ~mmap path in
     let c, dt =
       Obs.time (fun () ->
           match mode with
@@ -324,7 +322,10 @@ let algorithm_arg =
            (default $(b,tree-cover)).")
 
 let load_index ?(mmap = false) path =
-  try Reach_index_io.load ~mmap path
+  try
+    let idx = Reach_index_io.load ~mmap path in
+    Reach_index_io.check_mapped idx;
+    idx
   with Reach_index_io.Parse_error (line, msg) ->
     Printf.eprintf "%s:%d: %s\n" path line msg;
     exit 1
@@ -347,7 +348,7 @@ let index_cmd =
   in
   let run () domains mmap adj path algorithm output direct =
     setup_domains domains;
-    let g = read_graph ~mmap path in
+    let g, _ = read_graph ~mmap path in
     let idx, dt =
       Obs.time (fun () ->
           if direct then Reach_index.build ~algorithm g
@@ -410,7 +411,7 @@ let query_cmd =
   in
   let run () domains mmap path source target planner index_file server =
     setup_domains domains;
-    let g = read_graph ~mmap path in
+    let g, _ = read_graph ~mmap path in
     let n = Digraph.n g in
     if source < 0 || source >= n || target < 0 || target >= n then begin
       Printf.eprintf "nodes must be in [0, %d)\n" n;
@@ -478,7 +479,7 @@ let match_cmd =
       & info [ "pattern"; "p" ] ~docv:"FILE" ~doc:"Pattern query file.")
   in
   let run () mmap path pattern_file =
-    let g = read_graph ~mmap path in
+    let g, _ = read_graph ~mmap path in
     let p =
       try Pattern_io.load pattern_file
       with Pattern_io.Parse_error (line, msg) ->
@@ -520,8 +521,12 @@ let cquery_cmd =
   in
   let run () mmap path source target =
     let c =
-      try Compressed_io.load ~mmap path
-      with Compressed_io.Parse_error (line, msg) ->
+      try
+        let c = Compressed_io.load ~mmap path in
+        Graph_io.check_mapped (Compressed.graph c);
+        c
+      with
+      | Compressed_io.Parse_error (line, msg) | Graph_io.Parse_error (line, msg) ->
         Printf.eprintf "%s:%d: %s
 " path line msg;
         exit 1
@@ -558,7 +563,7 @@ let rpq_cmd =
              $(b,.), postfix $(b,*)/$(b,+)/$(b,?), infix $(b,|), parentheses.")
   in
   let run () mmap path regex =
-    let g = read_graph ~mmap path in
+    let g, _ = read_graph ~mmap path in
     let r =
       try Rpq.parse regex
       with Invalid_argument msg ->
@@ -597,7 +602,7 @@ let dot_cmd =
             "Group nodes into Graphviz clusters by their hypernode under              the $(b,reach) or $(b,pattern) compression.")
   in
   let run () mmap path cluster_mode =
-    let g = read_graph ~mmap path in
+    let g, _ = read_graph ~mmap path in
     let cluster =
       match cluster_mode with
       | `None -> None
@@ -637,34 +642,19 @@ let convert_cmd =
       value
       & opt
           (Arg.enum
-             [
-               ("text", `Text);
-               ("flat", `Flat);
-               ("mmap", `Mapped);
-               ("varint", `Varint);
-             ])
-          `Flat
+             (("text", None) :: List.map (fun (k, b) -> (k, Some b)) backends))
+          (Some Digraph.Flat)
       & info [ "format"; "f" ] ~docv:"FORMAT"
           ~doc:
             "Output format: $(b,text), or the binary snapshot kinds \
-             $(b,flat) ('G'), $(b,mmap) ('M', zero-copy loadable with \
-             $(b,--mmap)) or $(b,varint) ('V', the compact encoding).")
+             $(b,flat) ('G') or $(b,mmap) ('M', zero-copy loadable with \
+             $(b,--mmap)).")
   in
   let run () mmap input output format =
-    let g, labels =
-      try Graph_io.load ~mmap input with
-      | Graph_io.Parse_error (line, msg) ->
-          Printf.eprintf "%s:%d: %s\n" input line msg;
-          exit 1
-      | Sys_error e ->
-          Printf.eprintf "%s\n" e;
-          exit 1
-    in
+    let g, labels = read_graph ~mmap input in
     (match format with
-    | `Text -> Graph_io.save ~labels output g
-    | `Flat -> Graph_io.save_binary ~labels ~format:Digraph.Flat output g
-    | `Mapped -> Graph_io.save_binary ~labels ~format:Digraph.Mapped output g
-    | `Varint -> Graph_io.save_binary ~labels ~format:Digraph.Varint output g);
+    | None -> Graph_io.save ~labels output g
+    | Some format -> Graph_io.save_binary ~labels ~format output g);
     let bytes = In_channel.with_open_bin output In_channel.length in
     let bytes = Int64.to_int bytes in
     Printf.printf "wrote %s: |V| = %d, |E| = %d, %d bytes (%.1f bytes/edge)\n"
@@ -693,7 +683,7 @@ let workload_cmd =
   in
   let run () domains mmap path workload_file planner index_file =
     setup_domains domains;
-    let g = read_graph ~mmap path in
+    let g, _ = read_graph ~mmap path in
     let lines =
       In_channel.with_open_text workload_file In_channel.input_lines
       |> List.mapi (fun i l -> (i + 1, String.trim l))
@@ -1080,7 +1070,7 @@ let loadgen_cmd =
       in
       go ()
     in
-    let g = read_graph ~mmap path in
+    let g, _ = read_graph ~mmap path in
     let rng = Random.State.make [| seed |] in
     let pairs = Reach_query.random_pairs rng g ~count:queries in
     let res = Server_loadgen.run ~connect ~concurrency ~batch ~pairs in

@@ -92,8 +92,8 @@ let of_string s =
 
 let bad fmt = fail 0 fmt
 
-(* Version 2 allows the embedded Gr blob to be any Graph_io snapshot kind
-   ('G', 'M' or 'V'); version-1 snapshots (always 'G') still load. *)
+(* Version 2 allows the embedded Gr blob to be either Graph_io snapshot
+   kind ('G' or 'M'); version-1 snapshots (always 'G') still load. *)
 let binary_version = 2
 
 let to_binary_string ?(graph_format = Digraph.Flat) c =
@@ -128,23 +128,25 @@ let read_node_map s pos =
   let original_n = Int64.to_int (String.get_int64_le s pos) in
   if original_n < 0 then bad "negative original node count";
   let pos = pos + 8 in
-  if pos + (4 * original_n) > String.length s then
+  if original_n > (String.length s - pos) / 4 then
     bad "binary snapshot truncated reading node map";
   Array.init original_n (fun i ->
       Int32.to_int (String.get_int32_le s (pos + (4 * i))))
 
-let rebuild graph node_map =
-  match Compressed.v ~graph ~node_map with
+(* Header, then Gr through [blob] (which returns the position past it),
+   then the node map read by [tail]. *)
+let of_parts ~head ~blob ~tail =
+  check_header head;
+  let (graph, _table), pos =
+    try blob 8
+    with Graph_io.Parse_error (line, msg) -> raise (Parse_error (line, msg))
+  in
+  match Compressed.v ~graph ~node_map:(tail pos) with
   | c -> c
   | exception Invalid_argument msg -> bad "%s" msg
 
 let of_binary_string s =
-  check_header s;
-  let (graph, _table), pos =
-    try Graph_io.of_any_blob s 8
-    with Graph_io.Parse_error (line, msg) -> raise (Parse_error (line, msg))
-  in
-  rebuild graph (read_node_map s pos)
+  of_parts ~head:s ~blob:(Graph_io.of_any_blob s) ~tail:(read_node_map s)
 
 let save_binary ?graph_format path c =
   let oc = open_out_bin path in
@@ -158,35 +160,20 @@ let save path c =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc (to_string c))
 
-let load ?(mmap = false) path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      let head = really_input_string ic (Mono.imin len 13) in
-      if String.length head >= 8 && Graph_io.has_magic head then
-        if mmap && String.length head >= 13 && head.[4] = 'C' && head.[12] = 'M'
-        then begin
-          (* Zero-copy path: map the embedded 'M' graph blob in place and
-             read only its header plus the node-map tail eagerly, so the
-             adjacency of Gr never transits the heap. *)
-          check_header head;
-          try
-            seek_in ic 8;
-            let blob_head = really_input_string ic (Mono.imin (len - 8) 48) in
-            let total = Graph_io.mapped_blob_length blob_head 0 in
-            let graph, _table = Graph_io.map_mapped ~offset:8 path in
-            seek_in ic (8 + total);
-            let tail = In_channel.input_all ic in
-            rebuild graph (read_node_map tail 0)
-          with Graph_io.Parse_error (line, msg) -> raise (Parse_error (line, msg))
-        end
-        else begin
-          seek_in ic 0;
-          of_binary_string (In_channel.input_all ic)
-        end
-      else begin
-        seek_in ic 0;
-        of_string (In_channel.input_all ic)
-      end)
+(* Read [path] from byte [pos] to the end, or only its first [len] bytes. *)
+let read_file ?(pos = 0) ?len path =
+  In_channel.with_open_bin path (fun ic ->
+      In_channel.seek ic (Int64.of_int pos);
+      match len with
+      | None -> In_channel.input_all ic
+      | Some k -> Option.value (In_channel.really_input_string ic k) ~default:"")
+
+(* With [~mmap:true] and an 'M' blob, Gr maps in place and only the
+   header and the node-map tail are read, so Gr's adjacency never
+   transits the heap. *)
+let load ?mmap path =
+  match Graph_io.sniff path with
+  | None -> of_string (read_file path)
+  | Some _ ->
+      of_parts ~head:(read_file ~len:8 path) ~blob:(Graph_io.read_blob ?mmap path)
+        ~tail:(fun pos -> read_node_map (read_file ~pos path) 0)

@@ -21,8 +21,8 @@ val of_string : string -> Compressed.t
 (** {1 Binary snapshots}
 
     Magic ["QPGC"], kind ['C'], version byte, then [Gr] as an embedded
-    {!Graph_io} snapshot blob of any kind ('G' flat, 'M' mapped or 'V'
-    varint — pick with [graph_format]), the original node count, and the
+    {!Graph_io} snapshot blob ('G' flat or 'M' mapped — pick with
+    [graph_format]), the original node count, and the
     node map [R] as int32 entries.  The blob sits at offset 8, which is
     8-byte aligned, so an 'M' blob can be mapped zero-copy straight out
     of the snapshot file.  The inverse index is rederived on load. *)
@@ -37,8 +37,10 @@ val save_binary : ?graph_format:Digraph.backend -> string -> Compressed.t -> uni
 (** [save path c] writes the text format. *)
 val save : string -> Compressed.t -> unit
 
-(** [load ?mmap path] reads either format, sniffing the binary magic.
-    With [~mmap:true] and a snapshot whose embedded blob is kind 'M',
-    [Gr]'s sections open as zero-copy mapped views ({!Graph_io.map_mapped})
-    and only the node map is read eagerly. *)
+(** [load ?mmap path] reads either format ({!Graph_io.sniff}); [Gr]
+    goes through {!Graph_io.read_blob}.  With [~mmap:true] and a
+    snapshot whose embedded blob is kind 'M', [Gr]'s sections open as
+    zero-copy mapped views and only the header and the node map are
+    read, so [Gr]'s adjacency never transits the heap; run
+    {!Graph_io.check_mapped} on [Gr] before trusting it. *)
 val load : ?mmap:bool -> string -> Compressed.t

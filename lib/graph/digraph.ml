@@ -2,41 +2,34 @@
 
    Logically every graph is the same structure: per-node successor slices,
    strictly sorted and deduplicated, plus the mirrored in-adjacency.  The
-   physical representation is pluggable per direction:
+   physical representation is one of two per direction:
 
    - [Sflat]    heap int arrays (the original CSR): one flat adjacency
                 array indexed by an [n+1]-entry offset array;
    - [Smapped]  the same two arrays as [Bigarray] views over an mmap'd
-                'M' snapshot — zero-copy, O(1) load, page-cache resident;
-   - [Svarint]  gap+LEB128 delta-encoded adjacency: a per-node int32
-                byte-offset index into one byte stream holding
-                [degree, first, gap, gap, ...] per node.
+                'M' snapshot — zero-copy, O(1) load, page-cache resident.
 
    All consumers go through the accessors below; the raw-array surface
    ([out_csr]/[in_csr], [succ_slice]) is preserved by materialising a
-   cached "dense view" on non-flat backends, or by decoding into a
+   cached "dense view" on the mapped backend, or by copying into a
    per-domain scratch buffer for slices.  [reverse] stays O(1): the two
    direction records swap roles. *)
 
 type int_ba = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-type int32_ba =
-  (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-type backend = Flat | Mapped | Varint
+type backend = Flat | Mapped
 
 type store =
   | Sflat of { off : int array; adj : int array }
   | Smapped of { off : int_ba; adj : int_ba }
-  | Svarint of { idx : int32_ba; data : string }
 
 (* One direction of adjacency.  [dense] caches the materialised flat view
-   for non-flat stores (for [Sflat] it aliases the store itself and costs
+   for mapped stores (for [Sflat] it aliases the store itself and costs
    nothing); it is an [Atomic] because pool workers may force it
    concurrently — both compute identical immutable arrays, so whichever
-   publication wins is correct.  [scratch] is the per-domain slice-decode
-   buffer, present iff the store is not flat; keying by [Domain.DLS] keeps
-   concurrent slice decodes from different pool workers from trampling
+   publication wins is correct.  [scratch] is the per-domain slice-copy
+   buffer, present iff the store is mapped; keying by [Domain.DLS] keeps
+   concurrent slice copies from different pool workers from trampling
    each other. *)
 type side = {
   store : store;
@@ -44,7 +37,7 @@ type side = {
   scratch : int array ref Domain.DLS.key option;
 }
 
-type labels_store = Lheap of int array | Lmapped of int_ba | L32 of int32_ba
+type labels_store = Lheap of int array | Lmapped of int_ba
 type lab = { ls : labels_store; dense_labels : int array option Atomic.t }
 
 type t = {
@@ -217,21 +210,6 @@ let of_mapped_unchecked ~n ~m ~label_count ~labels ~out_off ~out_adj ~in_off
             scratch = scratch_key () };
   }
 
-(* Trusted constructor for the 'V' snapshot loader; the caller has already
-   run the checked decode over both streams. *)
-let of_varint_unchecked ~n ~m ~label_count ~labels ~out_idx ~out_data ~in_idx
-    ~in_data =
-  {
-    n;
-    m;
-    label_count;
-    lab = { ls = L32 labels; dense_labels = Atomic.make None };
-    fwd = { store = Svarint { idx = out_idx; data = out_data }; dense = Atomic.make None;
-            scratch = scratch_key () };
-    bwd = { store = Svarint { idx = in_idx; data = in_data }; dense = Atomic.make None;
-            scratch = scratch_key () };
-  }
-
 module Builder = struct
   type t = {
     mutable labels : int array;
@@ -293,10 +271,8 @@ let backend g =
   match g.fwd.store with
   | Sflat _ -> Flat
   | Smapped _ -> Mapped
-  | Svarint _ -> Varint
 
-let backend_name g =
-  match backend g with Flat -> "flat" | Mapped -> "mmap" | Varint -> "varint"
+let backend_name g = match backend g with Flat -> "flat" | Mapped -> "mmap"
 
 (* ------------------------------------------------------------------ *)
 (* Per-direction dispatch *)
@@ -305,9 +281,6 @@ let side_degree sd v =
   match sd.store with
   | Sflat { off; _ } -> off.(v + 1) - off.(v)
   | Smapped { off; _ } -> off.{v + 1} - off.{v}
-  | Svarint { idx; data } ->
-      let pos = ref (Int32.to_int idx.{v}) in
-      Varint.read_trusted data pos
 
 let side_iter sd v f =
   match sd.store with
@@ -319,21 +292,12 @@ let side_iter sd v f =
       for i = off.{v} to off.{v + 1} - 1 do
         f adj.{i}
       done
-  | Svarint { idx; data } ->
-      let pos = ref (Int32.to_int idx.{v}) in
-      let deg = Varint.read_trusted data pos in
-      let x = ref 0 in
-      for i = 0 to deg - 1 do
-        let d = Varint.read_trusted data pos in
-        x := (if i = 0 then d else !x + d);
-        f !x
-      done
 
-(* Grow-on-demand per-domain decode buffer.  Only non-flat sides carry a
+(* Grow-on-demand per-domain slice buffer.  Only mapped sides carry a
    key, so flat graphs never touch DLS. *)
 let scratch_for sd deg =
   match sd.scratch with
-  | None -> [||] (* unreachable: flat slices never decode *)
+  | None -> [||] (* unreachable: flat slices are never copied *)
   | Some key ->
       let cell = Domain.DLS.get key in
       if Array.length !cell < deg then begin
@@ -354,17 +318,6 @@ let side_slice sd v =
       let buf = scratch_for sd deg in
       for i = 0 to deg - 1 do
         buf.(i) <- adj.{lo + i}
-      done;
-      (buf, 0, deg)
-  | Svarint { idx; data } ->
-      let pos = ref (Int32.to_int idx.{v}) in
-      let deg = Varint.read_trusted data pos in
-      let buf = scratch_for sd deg in
-      let x = ref 0 in
-      for i = 0 to deg - 1 do
-        let d = Varint.read_trusted data pos in
-        x := (if i = 0 then d else !x + d);
-        buf.(i) <- !x
       done;
       (buf, 0, deg)
 
@@ -391,24 +344,8 @@ let side_mem sd v x =
   match sd.store with
   | Sflat { off; adj } -> mem_slice adj off.(v) off.(v + 1) x
   | Smapped { off; adj } -> ba_mem_slice adj off.{v} off.{v + 1} x
-  | Svarint { idx; data } ->
-      (* Decode-scan with early exit: slices are sorted, so stop at the
-         first value ≥ x. *)
-      let pos = ref (Int32.to_int idx.{v}) in
-      let deg = Varint.read_trusted data pos in
-      let cur = ref 0 and i = ref 0 and found = ref false and stop = ref false in
-      while (not !stop) && !i < deg do
-        let d = Varint.read_trusted data pos in
-        cur := (if !i = 0 then d else !cur + d);
-        if !cur >= x then begin
-          found := !cur = x;
-          stop := true
-        end;
-        incr i
-      done;
-      !found
 
-(* Materialise (and cache) the flat view of a non-flat side.  Concurrent
+(* Materialise (and cache) the flat view of a mapped side.  Concurrent
    forcing from two domains duplicates work but stays correct: both
    compute identical immutable arrays and one atomic publication wins. *)
 let force_dense n sd =
@@ -437,7 +374,6 @@ let label g v =
   match g.lab.ls with
   | Lheap a -> a.(v)
   | Lmapped ba -> ba.{v}
-  | L32 ba -> Int32.to_int ba.{v}
 
 let labels g =
   match Atomic.get g.lab.dense_labels with
@@ -447,7 +383,6 @@ let labels g =
         match g.lab.ls with
         | Lheap a -> a
         | Lmapped ba -> Array.init g.n (fun v -> ba.{v})
-        | L32 ba -> Array.init g.n (fun v -> Int32.to_int ba.{v})
       in
       Atomic.set g.lab.dense_labels (Some a);
       a
@@ -505,10 +440,9 @@ let edge_array g =
 
    Flat reproduces the historical formula exactly: five flat int arrays
    with one header word each plus a 9-word record.  Mapped counts the
-   mapped byte ranges (page-cache resident, not heap).  Varint counts the
-   int32 index bigarrays and the byte streams.  A forced dense view or a
-   materialised label array on a non-flat backend is extra resident memory
-   and is included when present. *)
+   mapped byte ranges (page-cache resident, not heap).  A forced dense
+   view or a materialised label array on the mapped backend is extra
+   resident memory and is included when present. *)
 
 let side_bytes sd =
   let store =
@@ -516,8 +450,6 @@ let side_bytes sd =
     | Sflat { off; adj } -> 8 * (Array.length off + Array.length adj + 2)
     | Smapped { off; adj } ->
         8 * (Bigarray.Array1.dim off + Bigarray.Array1.dim adj)
-    | Svarint { idx; data } ->
-        (4 * Bigarray.Array1.dim idx) + String.length data + 16
   in
   let extra =
     match (sd.store, Atomic.get sd.dense) with
@@ -531,7 +463,6 @@ let labels_bytes g =
     match g.lab.ls with
     | Lheap a -> 8 * (Array.length a + 1)
     | Lmapped ba -> 8 * Bigarray.Array1.dim ba
-    | L32 ba -> (4 * Bigarray.Array1.dim ba) + 8
   in
   let extra =
     match (g.lab.ls, Atomic.get g.lab.dense_labels) with
@@ -676,60 +607,14 @@ let to_flat g =
         bwd = flat_side in_off in_adj;
       }
 
-let max_int32 = 0x7fffffff
-
-let encode_varint_side n sd =
-  let buf = Buffer.create 1024 in
-  let idx = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (n + 1) in
-  let prev = ref 0 and i = ref 0 in
-  for v = 0 to n - 1 do
-    idx.{v} <- Int32.of_int (Buffer.length buf);
-    Varint.add buf (side_degree sd v);
-    prev := 0;
-    i := 0;
-    side_iter sd v (fun w ->
-        Varint.add buf (if !i = 0 then w else w - !prev);
-        prev := w;
-        incr i)
-  done;
-  if Buffer.length buf > max_int32 then
-    invalid_arg "Digraph.to_varint: adjacency stream exceeds 2 GiB";
-  idx.{n} <- Int32.of_int (Buffer.length buf);
-  {
-    store = Svarint { idx; data = Buffer.contents buf };
-    dense = Atomic.make None;
-    scratch = scratch_key ();
-  }
-
-let to_varint g =
-  match (g.fwd.store, g.bwd.store) with
-  | Svarint _, Svarint _ -> g
-  | _ ->
-      if g.n > max_int32 then invalid_arg "Digraph.to_varint: too many nodes";
-      let l32 = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout g.n in
-      for v = 0 to g.n - 1 do
-        let l = label g v in
-        if l > max_int32 then invalid_arg "Digraph.to_varint: label too large";
-        l32.{v} <- Int32.of_int l
-      done;
-      {
-        n = g.n;
-        m = g.m;
-        label_count = g.label_count;
-        lab = { ls = L32 l32; dense_labels = Atomic.make None };
-        fwd = encode_varint_side g.n g.fwd;
-        bwd = encode_varint_side g.n g.bwd;
-      }
-
 (* ------------------------------------------------------------------ *)
 (* Comparison and printing *)
 
 let succ_equal a b v =
   side_degree a.fwd v = side_degree b.fwd v
   &&
-  (* Decode a's slice first; iterating b's side below touches only b's own
-     scratch (or none), so the two cannot alias destructively even when
-     [a == b]. *)
+  (* Copy a's slice first; iterating b's side below touches no scratch,
+     so the two cannot alias destructively even when [a == b]. *)
   let base, start, _ = side_slice a.fwd v in
   let i = ref start and ok = ref true in
   side_iter b.fwd v (fun w ->
@@ -766,15 +651,18 @@ let validate g =
   let fail fmt = Format.kasprintf failwith fmt in
   (match g.lab.ls with
   | Lheap a -> if Array.length a <> g.n then fail "labels length"
-  | Lmapped ba -> if Bigarray.Array1.dim ba <> g.n then fail "labels length"
-  | L32 ba -> if Bigarray.Array1.dim ba <> g.n then fail "labels length");
+  | Lmapped ba -> if Bigarray.Array1.dim ba <> g.n then fail "labels length");
+  let top = ref 0 in
   for v = 0 to g.n - 1 do
     let l = label g v in
     if l < 0 || l >= g.label_count then
-      fail "label %d of node %d outside [0,%d)" l v g.label_count
+      fail "label %d of node %d outside [0,%d)" l v g.label_count;
+    if l > !top then top := l
   done;
+  if g.label_count <> !top + 1 then
+    fail "label count %d is not 1 + the largest label %d" g.label_count !top;
   let check_side name sd =
-    (* Offset/index structural checks per store. *)
+    (* Offset structural checks per store. *)
     (match sd.store with
     | Sflat { off; adj } ->
         if Array.length off <> g.n + 1 then fail "%s offsets length" name;
@@ -796,34 +684,7 @@ let validate g =
         done;
         if off.{g.n} <> Bigarray.Array1.dim adj then
           fail "%s offsets/adjacency mismatch" name;
-        if Bigarray.Array1.dim adj <> g.m then fail "%s edge count" name
-    | Svarint { idx; data } ->
-        if Bigarray.Array1.dim idx <> g.n + 1 then fail "%s index length" name;
-        if idx.{0} <> 0l then fail "%s index does not start at 0" name;
-        if Int32.to_int idx.{g.n} <> String.length data then
-          fail "%s index/stream length mismatch" name;
-        (* Checked, canonical re-decode of every node block. *)
-        let total = ref 0 in
-        for v = 0 to g.n - 1 do
-          let lo = Int32.to_int idx.{v} and hi = Int32.to_int idx.{v + 1} in
-          if lo > hi then fail "%s index not monotone at %d" name v;
-          (match
-             let deg, p = Varint.read data lo in
-             let p = ref p in
-             for i = 1 to deg do
-               let d, p' = Varint.read data !p in
-               if i > 1 && d = 0 then
-                 raise (Varint.Error "zero gap (duplicate neighbour)");
-               p := p'
-             done;
-             if !p <> hi then
-               raise (Varint.Error "node block length mismatch");
-             total := !total + deg
-           with
-          | () -> ()
-          | exception Varint.Error msg -> fail "%s(%d): %s" name v msg)
-        done;
-        if !total <> g.m then fail "%s edge count" name);
+        if Bigarray.Array1.dim adj <> g.m then fail "%s edge count" name);
     (* Slice content checks, store-independent. *)
     for v = 0 to g.n - 1 do
       let prev = ref (-1) and first = ref true in

@@ -8,7 +8,7 @@
     Storage is backend-polymorphic behind one accessor surface.  Logically
     every graph is a compressed-sparse-row structure — per-node successor
     slices, strictly sorted and deduplicated, mirrored for predecessors —
-    physically held by one of three backends:
+    physically held by one of two backends:
 
     - {b flat}: heap int arrays, one shared adjacency array indexed by an
       [n+1]-entry offset array per direction.  The default; what {!make}
@@ -16,10 +16,6 @@
     - {b mmap}: the same arrays as [Bigarray] views over an mmap'd 'M'
       snapshot file.  Zero-copy and O(1) to open regardless of graph size;
       resident cost is page-cache, not heap.
-    - {b varint}: gap + LEB128 delta-encoded adjacency — a per-node int32
-      byte-offset index into one byte stream per direction.  3–5× smaller
-      than flat on sparse graphs; slices decode into a per-domain scratch
-      buffer.
 
     Adjacency is exposed as allocation-free iteration/folds and slice
     views — never as freshly materialised per-node arrays.  Algorithms
@@ -29,11 +25,8 @@
 
 type t
 
-(** Bigarray views used by the mmap and varint backends. *)
+(** Bigarray views used by the mmap backend. *)
 type int_ba = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-type int32_ba =
-  (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 (** {1 Construction} *)
 
@@ -83,21 +76,6 @@ val of_mapped_unchecked :
   in_adj:int_ba ->
   t
 
-(** [of_varint_unchecked] wraps already-validated varint adjacency
-    streams: [idx] holds byte offsets of each node's
-    [degree, first, gap, ...] block in [data].  Trusted constructor for
-    the 'V' snapshot loader, which runs the checked decode first. *)
-val of_varint_unchecked :
-  n:int ->
-  m:int ->
-  label_count:int ->
-  labels:int32_ba ->
-  out_idx:int32_ba ->
-  out_data:string ->
-  in_idx:int32_ba ->
-  in_data:string ->
-  t
-
 (** A mutable staging area for incremental construction. *)
 module Builder : sig
   type graph := t
@@ -122,23 +100,18 @@ end
 
 (** {1 Backends} *)
 
-type backend = Flat | Mapped | Varint
+type backend = Flat | Mapped
 
 (** [backend g] identifies the physical storage backing [g]. *)
 val backend : t -> backend
 
-(** [backend_name g] is ["flat"], ["mmap"] or ["varint"]; what
+(** [backend_name g] is ["flat"] or ["mmap"]; what
     [qpgc stats] and the storage bench report. *)
 val backend_name : t -> string
 
 (** [to_flat g] is [g] rematerialised on the heap-array backend ([g]
     itself when already flat).  O(n + m). *)
 val to_flat : t -> t
-
-(** [to_varint g] re-encodes [g]'s adjacency as gap+varint streams ([g]
-    itself when already varint).  O(n + m); labels move to an int32
-    array. *)
-val to_varint : t -> t
 
 (** {1 Accessors} *)
 
@@ -152,9 +125,9 @@ val m : t -> int
 val size : t -> int
 
 (** [memory_bytes g] is the resident size of the storage backing [g]:
-    heap words for the flat backend, mapped (page-cache) bytes for mmap,
-    index + stream bytes for varint — plus any dense view or label array
-    that has been forced on a non-flat backend.  Used for the
+    heap words for the flat backend, mapped (page-cache) bytes for mmap
+    — plus any dense view or label array that has been forced on the
+    mapped backend.  Used for the
     Fig 12(d)-style memory comparisons and the bytes-per-edge figures in
     [qpgc stats] and the storage bench. *)
 val memory_bytes : t -> int
@@ -162,8 +135,8 @@ val memory_bytes : t -> int
 (** [label g v] is [L(v)]. *)
 val label : t -> int -> int
 
-(** [labels g] is the label array (do not mutate).  On non-flat backends
-    the array is materialised on first use and cached. *)
+(** [labels g] is the label array (do not mutate).  On the mapped
+    backend the array is materialised on first use and cached. *)
 val labels : t -> int array
 
 (** [label_count g] is [1 + max label] (at least 1 even for empty graphs). *)
@@ -172,8 +145,7 @@ val label_count : t -> int
 val out_degree : t -> int -> int
 val in_degree : t -> int -> int
 
-(** [mem_edge g u v] is [true] iff [(u,v) ∈ E]; O(log out_degree(u)) on
-    flat/mmap, O(out_degree(u)) decode-scan on varint. *)
+(** [mem_edge g u v] is [true] iff [(u,v) ∈ E]; O(log out_degree(u)). *)
 val mem_edge : t -> int -> int -> bool
 
 (** {1 Adjacency views}
@@ -181,7 +153,7 @@ val mem_edge : t -> int -> int -> bool
     The slice accessors return O(1)-ish views [(base, start, len)]: the
     neighbours of [v] are [base.(start) .. base.(start + len - 1)],
     strictly sorted.  On the flat backend [base] is the shared adjacency
-    array.  On mmap/varint backends the slice is decoded into a
+    array.  On the mmap backend the slice is copied into a
     {e per-domain scratch buffer}: it stays valid only until the next
     [succ_slice] (resp. [pred_slice]) call on the same graph, same
     direction and same domain — copy it out if you need it longer.  Do
@@ -193,8 +165,8 @@ val pred_slice : t -> int -> int array * int * int
 (** [out_csr g] is the dense [(offsets, adjacency)] view of the out-CSR:
     [offsets] has [n+1] entries and the successors of [v] occupy
     [adjacency.(offsets.(v)) .. adjacency.(offsets.(v+1) - 1)].  On the
-    flat backend these are the storage arrays themselves; on mmap/varint
-    backends the first call materialises (and caches) heap copies —
+    flat backend these are the storage arrays themselves; on the mmap
+    backend the first call materialises (and caches) heap copies —
     an O(n + m) escape hatch for kernels that need indexed random access.
     Fetch once per kernel.  Do not mutate.  New call sites outside
     [lib/graph] trip lint rule CSR02 and need a justified
@@ -251,7 +223,7 @@ val induced : t -> int array -> t * int array
 (** {1 Comparison and printing} *)
 
 (** [equal a b] is structural equality: same [n], labels and edge sets —
-    independent of storage backend (a varint graph equals its flat
+    independent of storage backend (a mapped graph equals its flat
     original). *)
 val equal : t -> t -> bool
 
@@ -259,10 +231,11 @@ val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
 (** [validate g] re-checks the storage invariants of whichever backend
-    [g] uses: offsets/indexes start at 0, are monotone and end at [m];
-    every slice is strictly sorted (hence deduplicated) and in range;
-    labels lie in [0, label_count); varint streams re-decode canonically;
-    the in- and out-mirrors agree edge for edge.  Used by property tests
-    and the binary snapshot loaders.
+    [g] uses: offsets start at 0, are monotone and end at [m]; every
+    slice is strictly sorted (hence deduplicated) and in range; labels
+    lie in [0, label_count) and [label_count] is 1 + the largest label;
+    the in- and out-mirrors agree edge for edge.  O(n + m log d).  Used
+    by property tests, the eager snapshot parsers and
+    {!Graph_io.check_mapped}.
     @raise Failure when an invariant is broken. *)
 val validate : t -> unit

@@ -132,12 +132,10 @@ let to_string ?labels g =
 
 let magic = "QPGC"
 let version = 1
-let mapped_version = 1
-let varint_version = 1
 
 let bad fmt = fail 0 fmt
 
-(* Shared by the three kinds: the label-name table is an int64 count [k]
+(* Shared by both kinds: the label-name table is an int64 count [k]
    followed by [k] names (int32 length + bytes), ids 0..k-1 in order. *)
 let add_names buf labels =
   match labels with
@@ -151,7 +149,7 @@ let add_names buf labels =
         Buffer.add_string buf name
       done
 
-let add_header buf kind version =
+let add_header buf kind =
   Buffer.add_string buf magic;
   Buffer.add_char buf kind;
   Buffer.add_char buf (Char.chr version);
@@ -160,7 +158,7 @@ let add_header buf kind version =
 
 let add_graph_blob buf ?labels g =
   let n = Digraph.n g and m = Digraph.m g in
-  add_header buf 'G' version;
+  add_header buf 'G';
   Buffer.add_int64_le buf (Int64.of_int n);
   Buffer.add_int64_le buf (Int64.of_int m);
   let out_off, out_adj = Digraph.out_csr g in
@@ -176,10 +174,12 @@ let to_binary_string ?labels g =
 
 (* Cursor-style readers over an in-memory blob; every access is
    bounds-checked so a truncated or corrupt file fails with Parse_error,
-   never an ugly out-of-bounds exception. *)
-let need s pos k what =
-  if pos < 0 || pos + k > String.length s then
-    bad "binary snapshot truncated reading %s" what
+   never an ugly out-of-bounds exception.  [need] divides rather than
+   multiplies, so a corrupt count cannot overflow past the check. *)
+let need ?(width = 1) s pos count what =
+  if pos < 0 || pos > String.length s || count < 0
+     || count > (String.length s - pos) / width
+  then bad "binary snapshot truncated reading %s" what
 
 let read_i64 s pos what =
   need s pos 8 what;
@@ -194,9 +194,17 @@ let read_i32 s pos what =
   (x, pos + 4)
 
 let read_i32_array s pos count what =
-  need s pos (4 * count) what;
+  need ~width:4 s pos count what;
   (Array.init count (fun i -> Int32.to_int (String.get_int32_le s (pos + (4 * i)))),
    pos + (4 * count))
+
+let read_i64_array s pos count what =
+  need ~width:8 s pos count what;
+  ( Array.init count (fun i ->
+        let x = Int64.to_int (String.get_int64_le s (pos + (8 * i))) in
+        if x < 0 then bad "negative %s in binary snapshot" what;
+        x),
+    pos + (8 * count) )
 
 let read_names s pos =
   let k, pos = read_i64 s pos "label-name count" in
@@ -212,8 +220,6 @@ let read_names s pos =
   done;
   (table, !pos)
 
-let has_magic s = String.length s >= 4 && String.sub s 0 4 = magic
-
 (* Checks magic + kind + version at [start] and returns the position just
    past the 8-byte header. *)
 let check_header s start kind =
@@ -226,19 +232,8 @@ let check_header s start kind =
   if v <> version then bad "unsupported snapshot version %d" v;
   start + 8
 
-let of_binary_substring s start =
-  let pos = check_header s start 'G' in
-  let n, pos = read_i64 s pos "node count" in
-  let m, pos = read_i64 s pos "edge count" in
-  need s pos (8 * (n + 1)) "offsets";
-  let out_off =
-    Array.init (n + 1) (fun i -> Int64.to_int (String.get_int64_le s (pos + (8 * i))))
-  in
-  let pos = pos + (8 * (n + 1)) in
-  let out_adj, pos = read_i32_array s pos m "adjacency" in
-  let labels, pos = read_i32_array s pos n "labels" in
-  if Array.exists (fun l -> l < 0) labels then bad "negative label";
-  let table, pos = read_names s pos in
+(* The CSR a parser read, re-validated in full. *)
+let checked_csr ~n ~labels ~out_off ~out_adj =
   let g =
     match Digraph.of_csr_unchecked ~n ~labels ~out_off ~out_adj with
     | g -> g
@@ -247,7 +242,22 @@ let of_binary_substring s start =
   (match Digraph.validate g with
   | () -> ()
   | exception Failure msg -> bad "invalid CSR in binary snapshot: %s" msg);
-  ((g, table), pos)
+  g
+
+let of_binary_substring s start =
+  let pos = check_header s start 'G' in
+  let n, pos = read_i64 s pos "node count" in
+  let m, pos = read_i64 s pos "edge count" in
+  need ~width:8 s pos (n + 1) "offsets";
+  let out_off =
+    Array.init (n + 1) (fun i -> Int64.to_int (String.get_int64_le s (pos + (8 * i))))
+  in
+  let pos = pos + (8 * (n + 1)) in
+  let out_adj, pos = read_i32_array s pos m "adjacency" in
+  let labels, pos = read_i32_array s pos n "labels" in
+  if Array.exists (fun l -> l < 0) labels then bad "negative label";
+  let table, pos = read_names s pos in
+  ((checked_csr ~n ~labels ~out_off ~out_adj, table), pos)
 
 (* ------------------------------------------------------------------ *)
 (* 'M': the zero-copy mapped snapshot.
@@ -281,6 +291,10 @@ let align8 p = (p + 7) land lnot 7
 
 let mapped_header_len = 48
 
+(* Header counts above this cannot describe a real file and would
+   overflow the section arithmetic below. *)
+let max_count = max_int / 64
+
 let mapped_section_offsets ~n ~m =
   let off0 = mapped_header_len in
   let adj0 = off0 + (8 * (n + 1)) in
@@ -302,7 +316,7 @@ let add_mapped_blob buf ?labels g =
   in
   let _, _, _, _, _, names0 = mapped_section_offsets ~n ~m in
   let total_len = align8 (names0 + String.length names) in
-  add_header buf 'M' mapped_version;
+  add_header buf 'M';
   Buffer.add_int64_le buf (Int64.of_int n);
   Buffer.add_int64_le buf (Int64.of_int m);
   Buffer.add_int64_le buf (Int64.of_int (Digraph.label_count g));
@@ -322,34 +336,18 @@ let add_mapped_blob buf ?labels g =
     Buffer.add_char buf '\000'
   done
 
-let check_kind_header s start kind version =
-  need s start 8 "header";
-  if String.sub s start 4 <> magic then
-    bad "bad magic: not a qpgc binary snapshot";
-  if s.[start + 4] <> kind then
-    bad "wrong snapshot kind '%c' (expected '%c')" s.[start + 4] kind;
-  let v = Char.code s.[start + 5] in
-  if v <> version then bad "unsupported snapshot version %d" v;
-  start + 8
-
-let read_i64_array s pos count what =
-  need s pos (8 * count) what;
-  ( Array.init count (fun i ->
-        let x = Int64.to_int (String.get_int64_le s (pos + (8 * i))) in
-        if x < 0 then bad "negative %s in binary snapshot" what;
-        x),
-    pos + (8 * count) )
-
 (* The fields every 'M' reader needs, with the O(1) consistency checks:
    sections must tile the declared [total_len] exactly. *)
 let read_mapped_header s start =
-  let pos = check_kind_header s start 'M' mapped_version in
+  let pos = check_header s start 'M' in
   let n, pos = read_i64 s pos "node count" in
   let m, pos = read_i64 s pos "edge count" in
   let label_count, pos = read_i64 s pos "label count" in
   let names_len, pos = read_i64 s pos "name-table length" in
   let total_len, _pos = read_i64 s pos "blob length" in
   if label_count < 1 then bad "label count below 1 in mapped snapshot";
+  if n > max_count || m > max_count || names_len > max_count then
+    bad "mapped snapshot counts out of range";
   let _, _, _, _, _, names0 = mapped_section_offsets ~n ~m in
   if total_len <> align8 (names0 + names_len) then
     bad "mapped snapshot section table does not tile the blob";
@@ -370,35 +368,23 @@ let of_mapped_substring s start =
   let table, names_end = read_names s (start + names0) in
   if names_end > start + names0 + names_len then
     bad "name table overruns its declared length";
-  let g =
-    match Digraph.of_csr_unchecked ~n ~labels ~out_off ~out_adj with
-    | g -> g
-    | exception Invalid_argument msg -> bad "%s" msg
-  in
-  (match Digraph.validate g with
-  | () -> ()
-  | exception Failure msg -> bad "invalid CSR in mapped snapshot: %s" msg);
+  let g = checked_csr ~n ~labels ~out_off ~out_adj in
   if Digraph.label_count g <> label_count then
     bad "label count field disagrees with label section";
   let d_in_off, d_in_adj = Digraph.in_csr g in
-  let mirror_ok =
-    let rec go_off v = v > n || (d_in_off.(v) = in_off.(v) && go_off (v + 1)) in
-    let rec go_adj i = i >= m || (d_in_adj.(i) = in_adj.(i) && go_adj (i + 1)) in
-    go_off 0 && go_adj 0
-  in
-  if not mirror_ok then bad "stored in-mirror disagrees with out-CSR";
+  if d_in_off <> in_off || d_in_adj <> in_adj then
+    bad "stored in-mirror disagrees with out-CSR";
   ((g, table), start + total_len)
 
 (* Zero-copy open: O(1) in the graph size.  Only the fixed header and the
    name table are read eagerly; the five int64 sections become int-kind
    Bigarray views over the mapped pages.  Structural validation here is
-   O(1) (bounds, tiling, CSR endpoints); [Digraph.validate] does the deep
-   check on demand. *)
+   O(1) (bounds, tiling, CSR endpoints); [check_mapped] does the deep
+   check.  [offset] must be 8-aligned so the views are; returns the
+   position past the blob as well. *)
 let map_mapped ~offset path =
-  if offset land 7 <> 0 then
-    invalid_arg "Graph_io.map_mapped: offset not 8-byte aligned";
   let ic = open_in_bin path in
-  let n, m, label_count, table =
+  let n, m, label_count, table, total_len =
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
       (fun () ->
@@ -416,7 +402,7 @@ let map_mapped ~offset path =
         let table, names_end = read_names names 0 in
         if names_end > names_len then
           bad "name table overruns its declared length";
-        (n, m, label_count, table))
+        (n, m, label_count, table, total_len))
   in
   let off0, adj0, ioff0, iadj0, lab0, _ = mapped_section_offsets ~n ~m in
   let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
@@ -447,143 +433,13 @@ let map_mapped ~offset path =
         Digraph.of_mapped_unchecked ~n ~m ~label_count ~labels ~out_off
           ~out_adj ~in_off ~in_adj)
   in
-  (g, table)
+  ((g, table), offset + total_len)
 
-(* ------------------------------------------------------------------ *)
-(* 'V': gap + LEB128 varint adjacency snapshot.
-
-   Layout (version 1), no alignment requirements — always parsed eagerly:
-
-     offset  size       field
-     0       8          magic "QPGC", kind 'V', version, reserved
-     8       8          n
-     16      8          m
-     24      8          label_count
-     32      8          out_data_len
-     40      8          in_data_len
-     48      4*(n+1)    out index: byte offset of node v's block in out data
-     ...     out_data   per node: varint degree, first neighbour, gaps ≥ 1
-     ...     4*(n+1)    in index
-     ...     in_data
-     ...     4*n        labels (int32)
-     ...                label-name table (as in 'G')
-
-   The encoder is minimal-form LEB128 and the loader re-decodes every
-   block with the checked reader, so the format is canonical: loading and
-   re-serialising any accepted file is bit-identical. *)
-
-let max_stream_len = 0x7fffffff
-
-let encode_varint_dir ~n degree iter =
-  let data = Buffer.create 1024 in
-  let idx = Buffer.create (4 * (n + 1)) in
-  let prev = ref 0 and i = ref 0 in
-  for v = 0 to n - 1 do
-    Buffer.add_int32_le idx (Int32.of_int (Buffer.length data));
-    Varint.add data (degree v);
-    prev := 0;
-    i := 0;
-    iter v (fun w ->
-        Varint.add data (if !i = 0 then w else w - !prev);
-        prev := w;
-        incr i)
-  done;
-  if Buffer.length data > max_stream_len then
-    bad "varint adjacency stream exceeds 2 GiB";
-  Buffer.add_int32_le idx (Int32.of_int (Buffer.length data));
-  (Buffer.contents idx, Buffer.contents data)
-
-let add_varint_blob buf ?labels g =
-  let n = Digraph.n g and m = Digraph.m g in
-  let out_idx, out_data =
-    encode_varint_dir ~n (Digraph.out_degree g) (Digraph.iter_succ g)
-  in
-  let in_idx, in_data =
-    encode_varint_dir ~n (Digraph.in_degree g) (Digraph.iter_pred g)
-  in
-  add_header buf 'V' varint_version;
-  Buffer.add_int64_le buf (Int64.of_int n);
-  Buffer.add_int64_le buf (Int64.of_int m);
-  Buffer.add_int64_le buf (Int64.of_int (Digraph.label_count g));
-  Buffer.add_int64_le buf (Int64.of_int (String.length out_data));
-  Buffer.add_int64_le buf (Int64.of_int (String.length in_data));
-  Buffer.add_string buf out_idx;
-  Buffer.add_string buf out_data;
-  Buffer.add_string buf in_idx;
-  Buffer.add_string buf in_data;
-  for v = 0 to n - 1 do
-    Buffer.add_int32_le buf (Int32.of_int (Digraph.label g v))
-  done;
-  add_names buf labels
-
-(* Checked decode of one direction: index monotone from 0 to [data_len],
-   every block re-decodes canonically, strictly ascending, in range, and
-   ends exactly at the next index entry; degrees must sum to [m]. *)
-let check_varint_dir ~what ~n ~m data idx =
-  if idx.(0) <> 0 then bad "%s index does not start at 0" what;
-  if idx.(n) <> String.length data then bad "%s index/stream mismatch" what;
-  let total = ref 0 in
-  for v = 0 to n - 1 do
-    let lo = idx.(v) and hi = idx.(v + 1) in
-    if lo > hi then bad "%s index not monotone at node %d" what v;
-    match
-      let deg, p = Varint.read data lo in
-      let p = ref p and x = ref 0 in
-      for i = 1 to deg do
-        let d, p' = Varint.read data !p in
-        if i > 1 && d = 0 then raise (Varint.Error "zero gap");
-        x := (if i = 1 then d else !x + d);
-        if !x >= n then raise (Varint.Error "neighbour out of range");
-        p := p'
-      done;
-      if !p <> hi then raise (Varint.Error "block length mismatch");
-      total := !total + deg
-    with
+let check_mapped g =
+  if Digraph.backend g = Digraph.Mapped then
+    match Digraph.validate g with
     | () -> ()
-    | exception Varint.Error msg -> bad "%s stream at node %d: %s" what v msg
-  done;
-  if !total <> m then bad "%s stream edge count disagrees with header" what
-
-let ba32_of_ints a : Digraph.int32_ba =
-  let ba =
-    Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (Array.length a)
-  in
-  Array.iteri (fun i x -> ba.{i} <- Int32.of_int x) a;
-  ba
-
-let of_varint_substring s start =
-  let pos = check_kind_header s start 'V' varint_version in
-  let n, pos = read_i64 s pos "node count" in
-  let m, pos = read_i64 s pos "edge count" in
-  let label_count, pos = read_i64 s pos "label count" in
-  let out_len, pos = read_i64 s pos "out-stream length" in
-  let in_len, pos = read_i64 s pos "in-stream length" in
-  let out_idx, pos = read_i32_array s pos (n + 1) "out index" in
-  need s pos out_len "out stream";
-  let out_data = String.sub s pos out_len in
-  let pos = pos + out_len in
-  let in_idx, pos = read_i32_array s pos (n + 1) "in index" in
-  need s pos in_len "in stream";
-  let in_data = String.sub s pos in_len in
-  let pos = pos + in_len in
-  let labels, pos = read_i32_array s pos n "labels" in
-  let table, pos = read_names s pos in
-  check_varint_dir ~what:"out" ~n ~m out_data out_idx;
-  check_varint_dir ~what:"in" ~n ~m in_data in_idx;
-  let computed_label_count =
-    Array.fold_left (fun acc l -> if l >= acc then l + 1 else acc) 1 labels
-  in
-  if computed_label_count <> label_count then
-    bad "label count field disagrees with label section";
-  let g =
-    Digraph.of_varint_unchecked ~n ~m ~label_count ~labels:(ba32_of_ints labels)
-      ~out_idx:(ba32_of_ints out_idx) ~out_data ~in_idx:(ba32_of_ints in_idx)
-      ~in_data
-  in
-  (match Digraph.validate g with
-  | () -> ()
-  | exception Failure msg -> bad "invalid varint snapshot: %s" msg);
-  ((g, table), pos)
+    | exception Failure msg -> bad "invalid CSR in mapped snapshot: %s" msg
 
 (* ------------------------------------------------------------------ *)
 (* Kind dispatch *)
@@ -599,32 +455,38 @@ let of_any_blob s pos =
   match String.get s (pos + 4) with
   | 'G' -> of_binary_substring s pos
   | 'M' -> of_mapped_substring s pos
-  | 'V' -> of_varint_substring s pos
   | c -> bad "unknown snapshot kind '%c'" c
 
-(* Nested-snapshot helpers for readers that want to map an embedded 'M'
-   blob themselves (Compressed_io, Reach_index_io): [skip_pad] finds the
-   blob start past any alignment padding, [mapped_blob_length] reads just
-   the fixed header to learn how many bytes to skip without touching the
-   sections. *)
-let mapped_blob_length s pos =
-  let _, _, _, _, total_len = read_mapped_header s pos in
-  total_len
+(* The file-side counterpart of [of_any_blob], for top-level and nested
+   blobs alike: an 8-aligned 'M' blob maps in place when [mmap] is set,
+   reading only its header and name table; anything else is read from
+   [pos] to the end of the file and parsed. *)
+let read_blob ?(mmap = false) path pos =
+  In_channel.with_open_bin path (fun ic ->
+      let len = Int64.to_int (In_channel.length ic) in
+      let read pos k =
+        In_channel.seek ic (Int64.of_int pos);
+        really_input_string ic (Mono.imax 0 (Mono.imin k (len - pos)))
+      in
+      let pos = if read pos 1 = "\000" then align8 pos else pos in
+      let head = read pos 5 in
+      if mmap && pos land 7 = 0 && String.length head = 5 && head.[4] = 'M'
+      then map_mapped ~offset:pos path
+      else
+        let r, stop = of_any_blob (read pos len) 0 in
+        (r, pos + stop))
 
 let add_any_blob buf ?labels ~(format : Digraph.backend) g =
   match format with
   | Digraph.Flat -> add_graph_blob buf ?labels g
   | Digraph.Mapped -> add_mapped_blob buf ?labels g
-  | Digraph.Varint -> add_varint_blob buf ?labels g
 
 let to_snapshot_string ?labels ?(format = Digraph.Flat) g =
   let buf = Buffer.create (32 + (12 * Digraph.n g) + (4 * Digraph.m g)) in
   add_any_blob buf ?labels ~format g;
   Buffer.contents buf
 
-let of_binary_string s =
-  let (g, table), _end = of_any_blob s 0 in
-  (g, table)
+let of_binary_string s = fst (of_any_blob s 0)
 
 let save_binary ?labels ?format path g =
   let oc = open_out_bin path in
@@ -632,26 +494,16 @@ let save_binary ?labels ?format path g =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc (to_snapshot_string ?labels ?format g))
 
-let load ?(mmap = false) path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      let head = really_input_string ic (if len < 8 then len else 8) in
-      if String.length head >= 8 && has_magic head then
-        match head.[4] with
-        | 'M' when mmap ->
-            (* O(1): never reads the adjacency sections. *)
-            map_mapped ~offset:0 path
-        | _ ->
-            seek_in ic 0;
-            let s = In_channel.input_all ic in
-            fst (of_any_blob s 0)
-      else begin
-        seek_in ic 0;
-        of_string (In_channel.input_all ic)
-      end)
+let sniff path =
+  In_channel.with_open_bin path (fun ic ->
+      match In_channel.really_input_string ic 5 with
+      | Some head when String.sub head 0 4 = magic -> Some head.[4]
+      | _ -> None)
+
+let load ?mmap path =
+  match sniff path with
+  | Some _ -> fst (read_blob ?mmap path 0)
+  | None -> of_string (In_channel.with_open_bin path In_channel.input_all)
 
 let to_dot ?labels ?(name = "g") ?cluster g =
   let buf = Buffer.create 1024 in

@@ -45,11 +45,11 @@ val to_string : ?labels:Label_table.t -> Digraph.t -> string
       plus an O(n + m) in-mirror rebuild.
     - ['M'] (mapped): both mirrors as 8-byte-aligned int64 sections, built
       for zero-copy mmap — opening is O(1) in the graph size.
-    - ['V'] (varint): gap + LEB128 delta-encoded adjacency with per-node
-      byte-offset indexes — the compact form, 2-4× smaller than 'G'.
 
-    See DESIGN.md "Storage layer" for the byte layouts and alignment
-    rules.  All parsers reject truncated or corrupt input with
+    Compressed ('C') and index ('I') snapshots nest one of these blobs;
+    {!of_any_blob} and {!read_blob} are the only readers of a nested
+    blob.  See DESIGN.md "Storage layer" for the byte layouts and
+    alignment rules.  All parsers reject truncated or corrupt input with
     {!Parse_error}, never undefined behaviour. *)
 
 (** [to_binary_string ?labels g] serialises [g] (and, when given, its
@@ -58,78 +58,68 @@ val to_binary_string : ?labels:Label_table.t -> Digraph.t -> string
 
 (** [to_snapshot_string ?labels ?format g] serialises [g] in the snapshot
     kind matching [format] (['G'] for [Flat], the default; ['M'] for
-    [Mapped]; ['V'] for [Varint]).  Serialisation is canonical per kind:
-    loading any accepted snapshot and re-serialising it in the same format
-    is bit-identical, whatever backend the graph value uses in memory. *)
+    [Mapped]).  Serialisation is canonical per kind: loading any accepted
+    snapshot and re-serialising it in the same format is bit-identical,
+    whatever backend the graph value uses in memory. *)
 val to_snapshot_string :
   ?labels:Label_table.t -> ?format:Digraph.backend -> Digraph.t -> string
 
-(** [of_binary_string s] parses a binary snapshot of any kind.  The
-    loaded structure is re-validated, so corrupt or truncated input fails
-    with {!Parse_error} (line 0) rather than undefined behaviour. *)
+(** [of_binary_string s] parses a 'G' or 'M' snapshot onto the flat
+    backend.  The loaded structure is re-validated, so corrupt or
+    truncated input fails with {!Parse_error} (line 0) rather than
+    undefined behaviour. *)
 val of_binary_string : string -> Digraph.t * Label_table.t
 
-(** [of_binary_substring s start] parses a 'G' graph blob embedded at
-    offset [start], returning the result and the position one past the
-    blob. *)
-val of_binary_substring : string -> int -> (Digraph.t * Label_table.t) * int
-
-(** [of_any_blob s pos] parses a graph blob of any kind ('G', 'M' or 'V')
-    embedded at [pos], skipping the zero padding that precedes an 'M'
-    blob at an unaligned position; used by {!Compressed_io} and
-    [Reach_index_io] to nest graphs inside their own snapshots.  'M'
-    blobs parse eagerly onto the flat backend here — use {!map_mapped}
-    with the blob's file offset for the zero-copy path. *)
+(** [of_any_blob s pos] parses the graph blob ('G' or 'M') nested at
+    [pos] of the snapshot bytes [s], skipping the zero padding that
+    precedes an 'M' blob at an unaligned position, and returns the
+    position one past the blob.  Every kind parses eagerly onto the flat
+    backend and is fully validated. *)
 val of_any_blob : string -> int -> (Digraph.t * Label_table.t) * int
 
-(** [add_graph_blob buf ?labels g] appends the 'G' snapshot of [g] to
-    [buf]; the writer counterpart of {!of_binary_substring}. *)
-val add_graph_blob : Buffer.t -> ?labels:Label_table.t -> Digraph.t -> unit
+(** [read_blob ?mmap path pos] is {!of_any_blob} for the blob at byte
+    [pos] of the file [path]: top-level ([pos = 0]) and nested blobs
+    alike.  With [~mmap:true] an 8-aligned 'M' blob opens zero-copy on
+    the mapped backend: its int64 sections become [Bigarray] views over
+    the file's pages and are never read, so the call is O(1) in the
+    graph size (only the fixed header and the label-name table are
+    parsed).  Any other blob is read from [pos] to the end of the file
+    and parsed eagerly.  A mapped result has passed only the O(1)
+    checks (bounds, section tiling, CSR endpoints): run {!check_mapped}
+    before trusting it. *)
+val read_blob :
+  ?mmap:bool -> string -> int -> (Digraph.t * Label_table.t) * int
 
 (** [add_any_blob buf ?labels ~format g] appends the snapshot kind
     matching [format].  An 'M' blob is preceded by zero padding up to the
     next multiple of 8 of [Buffer.length buf], so its int64 sections land
     8-byte aligned when the buffer is written at file offset 0;
-    {!of_any_blob} skips the same padding. *)
+    {!of_any_blob} and {!read_blob} skip the same padding. *)
 val add_any_blob :
   Buffer.t -> ?labels:Label_table.t -> format:Digraph.backend -> Digraph.t -> unit
 
-(** [skip_pad s pos] is the first position at or after [pos] holding a
-    nested blob: [pos] itself, or the next multiple of 8 when [pos] sits
-    on the zero padding that {!add_any_blob} writes before an 'M' blob
-    (snapshot magic never starts with ['\000']). *)
-val skip_pad : string -> int -> int
-
-(** [mapped_blob_length s pos] reads the fixed 'M' header at [pos] and
-    returns the blob's total byte length — how far a nested reader must
-    advance past a blob it intends to {!map_mapped} instead of parsing.
-    O(1); performs the same header consistency checks as the parsers.
-    @raise Parse_error on a malformed header. *)
-val mapped_blob_length : string -> int -> int
-
-(** [map_mapped ~offset path] opens the 'M' blob at byte [offset] of
-    [path] zero-copy: the adjacency, offset and label sections become
-    [Bigarray] views over the mapped pages and are never read eagerly, so
-    the call is O(1) in the graph size (only the fixed header and the
-    label-name table are parsed).  [offset] must be 8-byte aligned.
-    Structural sanity is checked in O(1); use [Digraph.validate] for the
-    deep check.  @raise Parse_error on malformed headers or bounds. *)
-val map_mapped : offset:int -> string -> Digraph.t * Label_table.t
+(** [check_mapped g] runs [Digraph.validate] on a graph that opened on
+    the mapped backend (and does nothing on the flat backend, whose
+    parsers validate on load): O(n + m log d), once per opened file, so
+    a corrupt mapped snapshot fails closed before it is queried.
+    @raise Parse_error when an invariant is broken. *)
+val check_mapped : Digraph.t -> unit
 
 (** [save_binary ?labels ?format path g] writes the binary snapshot of
     [g]; [format] as in {!to_snapshot_string}. *)
 val save_binary :
   ?labels:Label_table.t -> ?format:Digraph.backend -> string -> Digraph.t -> unit
 
-(** [has_magic s] is [true] when [s] starts with the snapshot magic —
-    the sniff {!load} uses to pick a parser. *)
-val has_magic : string -> bool
+(** [sniff path] is the kind byte of the binary snapshot in [path]
+    (['G'], ['M'], ['C'] or ['I'], unchecked), or [None] when the file
+    does not start with the snapshot magic — a text file.  Every loader
+    that accepts more than one format dispatches on it. *)
+val sniff : string -> char option
 
-(** [load ?mmap path] reads a graph file in any format, sniffing the
-    magic and kind: binary snapshots are detected by their first four
-    bytes, anything else parses as text.  With [~mmap:true], an 'M'
-    snapshot opens zero-copy on the mapped backend in O(1) (other formats
-    still load eagerly). *)
+(** [load ?mmap path] reads a graph file in any format: a binary
+    snapshot ({!sniff}) through {!read_blob} at offset 0, anything else
+    as text.  With [~mmap:true], an 'M' snapshot opens zero-copy on the
+    mapped backend in O(1); a 'G' snapshot still loads eagerly. *)
 val load : ?mmap:bool -> string -> Digraph.t * Label_table.t
 
 (** [save ?labels path g] writes [g] to [path] in the text format. *)

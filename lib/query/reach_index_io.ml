@@ -2,8 +2,8 @@ exception Parse_error of int * string
 
 let bad fmt = Format.kasprintf (fun s -> raise (Parse_error (0, s))) fmt
 
-(* Version 2 allows the GRAIL condensation to be embedded as any Graph_io
-   snapshot kind ('G', 'M' or 'V'), 8-byte aligned when 'M'; version-1
+(* Version 2 allows the GRAIL condensation to be embedded as either
+   Graph_io snapshot kind ('G' or 'M'), 8-byte aligned when 'M'; version-1
    snapshots (always 'G') still load. *)
 let binary_version = 2
 
@@ -109,18 +109,18 @@ let rd_i32 s pos what =
 
 let rd_i32_array s pos n what =
   if n < 0 then bad "negative %s count" what;
-  if !pos + (4 * n) > String.length s then
+  if n > (String.length s - !pos) / 4 then
     bad "index snapshot truncated reading %s" what;
   Array.init n (fun i -> Int32.to_int (String.get_int32_le s (!pos + (4 * i))))
   |> fun a ->
   pos := !pos + (4 * n);
   a
 
-(* [map_path], when given, is the file [s] was read from: a 'M' cond blob
-   then opens as zero-copy mapped views at its file offset instead of
-   parsing eagerly.  The blob sits at offset [skip_pad s pos] of the file
-   because snapshots are written from offset 0. *)
-let parse ?map_path s =
+(* [blob pos] reads the GRAIL cond blob nested at [pos] and returns the
+   position past it: from [s] itself, or from the file [s] was read from
+   so that an 'M' blob can map in place (snapshots are written from
+   offset 0, so positions in [s] are file offsets). *)
+let parse ~blob s =
   if String.length s < 8 || String.sub s 0 4 <> "QPGC" then
     bad "bad magic: not a qpgc binary snapshot";
   if s.[4] <> 'I' then bad "wrong snapshot kind '%c' (expected 'I')" s.[4];
@@ -201,23 +201,12 @@ let parse ?map_path s =
     | _ ->
         let comp = rd_i32_array s pos graph_n "component map" in
         let cond =
-          try
-            let blob_pos = Graph_io.skip_pad s !pos in
-            match map_path with
-            | Some path
-              when blob_pos + 8 <= String.length s
-                   && s.[blob_pos + 4] = 'M'
-                   && blob_pos land 7 = 0 ->
-                let total = Graph_io.mapped_blob_length s blob_pos in
-                let cond, _ = Graph_io.map_mapped ~offset:blob_pos path in
-                pos := blob_pos + total;
-                cond
-            | _ ->
-                let (cond, _), next = Graph_io.of_any_blob s !pos in
-                pos := next;
-                cond
-          with Graph_io.Parse_error (line, msg) ->
-            raise (Parse_error (line, msg))
+          match blob !pos with
+          | (cond, _), next ->
+              pos := next;
+              cond
+          | exception Graph_io.Parse_error (line, msg) ->
+              raise (Parse_error (line, msg))
         in
         let k = rd_i64 s pos "traversal count" in
         if k <= 0 || k > 1024 then bad "traversal count %d out of range" k;
@@ -246,7 +235,7 @@ let parse ?map_path s =
   | t -> t
   | exception Invalid_argument msg -> bad "%s" msg
 
-let of_binary_string s = parse s
+let of_binary_string s = parse ~blob:(Graph_io.of_any_blob s) s
 
 let save ?graph_format path t =
   let oc = open_out_bin path in
@@ -255,9 +244,12 @@ let save ?graph_format path t =
     (fun () -> output_string oc (to_binary_string ?graph_format t))
 
 let load ?(mmap = false) path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let s = In_channel.input_all ic in
-      if mmap then parse ~map_path:path s else parse s)
+  let s = In_channel.with_open_bin path In_channel.input_all in
+  parse ~blob:(Graph_io.read_blob ~mmap path) s
+
+let check_mapped t =
+  match Reach_index.backend t with
+  | Reach_index.Grl gl -> (
+      try Graph_io.check_mapped (Grail.cond gl)
+      with Graph_io.Parse_error (line, msg) -> raise (Parse_error (line, msg)))
+  | Reach_index.Tree _ | Reach_index.Hop _ -> ()

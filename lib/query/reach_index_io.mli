@@ -15,8 +15,8 @@
     Payloads: tree-cover stores the condensation size, component map,
     post ranks and per-node interval runs; two-hop stores the two
     per-node sorted label arrays; GRAIL stores the component map, the
-    condensation as an embedded {!Graph_io} snapshot blob of any kind
-    ('G' flat, 'M' mapped or 'V' varint — pick with [graph_format]) and
+    condensation as an embedded {!Graph_io} snapshot blob ('G' flat or
+    'M' mapped — pick with [graph_format]) and
     the per-traversal interval tables.  An 'M' cond blob is preceded by
     zero padding to an 8-byte file offset so it can be mapped in place.
     Everything is little-endian, counts before payloads — so equal
@@ -41,9 +41,15 @@ val of_binary_string : string -> Reach_index.t
     (other backends embed no graph and ignore it). *)
 val save : ?graph_format:Digraph.backend -> string -> Reach_index.t -> unit
 
-(** [load ?mmap path] reads a snapshot written by {!save}.  With
-    [~mmap:true], a GRAIL index whose cond blob is kind 'M' opens the
-    condensation as zero-copy mapped views over [path] instead of
-    parsing it eagerly.
+(** [load ?mmap path] reads a snapshot written by {!save}; the GRAIL
+    cond blob goes through {!Graph_io.read_blob}.  With [~mmap:true], a
+    cond blob of kind 'M' opens as zero-copy mapped views over [path]
+    instead of parsing eagerly, and has passed only the O(1) checks:
+    run {!check_mapped} before trusting it.
     @raise Parse_error on malformed input. *)
 val load : ?mmap:bool -> string -> Reach_index.t
+
+(** [check_mapped t] is {!Graph_io.check_mapped} on the graph [t] keeps,
+    if any (a GRAIL condensation); a no-op for the other families.
+    @raise Parse_error when that graph is corrupt. *)
+val check_mapped : Reach_index.t -> unit

@@ -95,27 +95,16 @@ let engine_of_index ?pool idx =
     eval_pattern = None;
   }
 
-(* First five bytes decide the loader: "QPGC" + kind byte for binary
-   snapshots, anything else (short file, text edge list) goes through
-   [Graph_io.load]'s own sniffing. *)
-let snapshot_kind path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let b = Bytes.create 5 in
-      let rec fill off =
-        if off >= 5 then true
-        else
-          let k = input ic b off (5 - off) in
-          if k = 0 then false else fill (off + k)
-      in
-      if fill 0 && String.equal (Bytes.sub_string b 0 4) "QPGC" then
-        Some (Bytes.get b 4)
-      else None)
-
+(* The snapshot's kind byte decides the loader.  Every graph that opened
+   on the mapped backend is validated once here, before the engine
+   serves a query (and so before the ready signal). *)
 let load_engine ?pool ?(mmap = true) ?index_file path =
-  let index = Option.map (fun f -> Reach_index_io.load ~mmap f) index_file in
+  let load_index f =
+    let idx = Reach_index_io.load ~mmap f in
+    Reach_index_io.check_mapped idx;
+    idx
+  in
+  let index = Option.map load_index index_file in
   let reject_index what =
     if Option.is_some index then
       invalid_arg
@@ -123,15 +112,19 @@ let load_engine ?pool ?(mmap = true) ?index_file path =
            "Server.load_engine: an index file cannot be combined with a %s snapshot"
            what)
   in
-  match snapshot_kind path with
-  | Some 'C' ->
-      reject_index "compressed";
-      engine_of_compressed ?pool (Compressed_io.load ~mmap path)
+  let of_compressed c =
+    reject_index "compressed";
+    Graph_io.check_mapped (Compressed.graph c);
+    engine_of_compressed ?pool c
+  in
+  match Graph_io.sniff path with
+  | Some 'C' -> of_compressed (Compressed_io.load ~mmap path)
   | Some 'I' ->
       reject_index "index";
-      engine_of_index ?pool (Reach_index_io.load ~mmap path)
+      engine_of_index ?pool (load_index path)
   | Some _ ->
       let g, _labels = Graph_io.load ~mmap path in
+      Graph_io.check_mapped g;
       engine_of_graph ?pool ?index g
   | None -> (
       (* A text snapshot carries no kind byte.  The compression text
@@ -144,9 +137,7 @@ let load_engine ?pool ?(mmap = true) ?index_file path =
       | g, _labels -> engine_of_graph ?pool ?index g
       | exception (Graph_io.Parse_error (graph_line, _) as graph_err) -> (
           match Compressed_io.load ~mmap path with
-          | c ->
-              reject_index "compressed";
-              engine_of_compressed ?pool c
+          | c -> of_compressed c
           | exception Compressed_io.Parse_error (comp_line, _)
             when comp_line <= graph_line ->
               raise graph_err))

@@ -55,8 +55,10 @@ val engine_of_compressed : ?pool:Pool.t -> Compressed.t -> engine
 val engine_of_index : ?pool:Pool.t -> Reach_index.t -> engine
 
 (** [load_engine ?pool ?mmap ?index_file path] sniffs the snapshot kind
-    byte and dispatches to the right loader ([mmap] defaults to [true]).
-    Text files carry no kind byte: they are parsed as a plain graph
+    byte ({!Graph_io.sniff}) and dispatches to the right loader ([mmap]
+    defaults to [true]).  Every graph that opens on the mapped backend —
+    a top-level 'M', the [Gr] of a 'C', a GRAIL condensation — passes
+    {!Graph_io.check_mapped} before the engine is returned.  Text files carry no kind byte: they are parsed as a plain graph
     first and retried as a compression when the graph parser rejects
     the compression-only records (whose text format strictly extends
     the graph records).  [index_file] is only meaningful for graph

@@ -1,7 +1,8 @@
-(* Storage-backend tests: the 'M' (mmap) and 'V' (varint) snapshot
-   formats, the varint codec, and the backend-equivalence properties —
-   every query-visible accessor must behave identically on the flat, mmap
-   and varint backends, under 1, 2 and 4 domains. *)
+(* Storage-backend tests: the 'G' (flat) and 'M' (mmap) snapshot
+   formats, fail-closed loading of corrupt snapshots, and the
+   backend-equivalence properties — every query-visible accessor must
+   behave identically on the flat and mmap backends, under 1, 2 and 4
+   domains. *)
 
 let tmp_counter = ref 0
 
@@ -40,53 +41,9 @@ let expect_parse_error what f =
   | exception Graph_io.Parse_error _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Varint codec *)
-
-let codec_roundtrip () =
-  let cases =
-    [ 0; 1; 17; 127; 128; 255; 16383; 16384; 0xfffff; 0x7fffffff;
-      max_int ]
-  in
-  List.iter
-    (fun x ->
-      let buf = Buffer.create 16 in
-      Varint.add buf x;
-      let s = Buffer.contents buf in
-      Testutil.check_int "byte_length" (String.length s) (Varint.byte_length x);
-      let y, p = Varint.read s 0 in
-      Testutil.check_int "value" x y;
-      Testutil.check_int "end pos" (String.length s) p;
-      let pos = ref 0 in
-      Testutil.check_int "trusted value" x (Varint.read_trusted s pos);
-      Testutil.check_int "trusted end" (String.length s) !pos)
-    cases
-
-let codec_errors () =
-  let expect_error what s pos =
-    match Varint.read s pos with
-    | _ -> Alcotest.failf "%s: expected Varint.Error" what
-    | exception Varint.Error _ -> ()
-  in
-  expect_error "empty" "" 0;
-  expect_error "past end" "\x05" 1;
-  expect_error "negative pos" "\x05" (-1);
-  expect_error "truncated continuation" "\x80" 0;
-  expect_error "overlong zero" "\x80\x00" 0;
-  expect_error "overlong value" "\x85\x00" 0;
-  (* 10 continuation bytes cannot fit a 63-bit int. *)
-  expect_error "overflow" "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x7f" 0;
-  (* Canonical single zero is fine. *)
-  let y, p = Varint.read "\x00" 0 in
-  Testutil.check_int "zero value" 0 y;
-  Testutil.check_int "zero pos" 1 p
-
-(* ------------------------------------------------------------------ *)
 (* Format round-trips *)
 
-let format_of_backend = function
-  | Digraph.Flat -> "flat"
-  | Digraph.Mapped -> "mmap"
-  | Digraph.Varint -> "varint"
+let format_of_backend = function Digraph.Flat -> "flat" | Digraph.Mapped -> "mmap"
 
 let roundtrip_prop fmt g =
   let s = Graph_io.to_snapshot_string ~format:fmt g in
@@ -136,20 +93,6 @@ let mmap_load_prop g =
         || Graph_io.Label_table.name tm 0 <> "alpha"
       then QCheck2.Test.fail_report "label table lost by mmap roundtrip";
       true)
-
-let varint_backend_load_prop g =
-  let s = Graph_io.to_snapshot_string ~format:Digraph.Varint g in
-  let g', _ = Graph_io.of_binary_string s in
-  if Digraph.backend g' <> Digraph.Varint then
-    QCheck2.Test.fail_report "'V' load should land on varint backend";
-  (* The dense escape hatch must agree with the flat original. *)
-  let off, adj = Digraph.out_csr g and off', adj' = Digraph.out_csr g' in
-  if off <> off' || adj <> adj' then
-    QCheck2.Test.fail_report "varint dense view disagrees";
-  let ioff, iadj = Digraph.in_csr g and ioff', iadj' = Digraph.in_csr g' in
-  if ioff <> ioff' || iadj <> iadj' then
-    QCheck2.Test.fail_report "varint dense in-view disagrees";
-  true
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic corruption cases *)
@@ -202,41 +145,127 @@ let mapped_corruption () =
       | () -> Alcotest.fail "mmap deep validation accepted corrupt adjacency"
       | exception Failure _ -> ())
 
-let varint_corruption () =
+(* A node count of 2^60 + n makes 8 * (n + 1) wrap around to its
+   original value; the bounds checks must not be fooled by it. *)
+let count_overflow () =
   let g, table = sample () in
-  let s = Graph_io.to_snapshot_string ~labels:table ~format:Digraph.Varint g in
-  expect_parse_error "kind" (fun () ->
-      Graph_io.of_binary_string (set_byte s 4 'Z'));
-  expect_parse_error "version" (fun () ->
-      Graph_io.of_binary_string (set_byte s 5 '\009'));
-  expect_parse_error "edge count" (fun () ->
-      Graph_io.of_binary_string (set_byte s 16 '\042'));
-  expect_parse_error "stream length" (fun () ->
-      Graph_io.of_binary_string (set_byte s 32 '\001'));
-  (* First out-index entry made nonzero. *)
-  expect_parse_error "index" (fun () ->
-      Graph_io.of_binary_string (set_byte s 48 '\001'));
-  (* First stream byte is node 0's degree (2): degree mismatch breaks the
-     block framing. *)
-  let data0 = 48 + (4 * 7) in
-  expect_parse_error "degree" (fun () ->
-      Graph_io.of_binary_string (set_byte s data0 '\005'));
-  (* A continuation flag on the last byte of a block truncates it. *)
-  expect_parse_error "overlong" (fun () ->
-      Graph_io.of_binary_string (set_byte s (data0 + 1) '\128'))
+  List.iter
+    (fun fmt ->
+      let s = Graph_io.to_snapshot_string ~labels:table ~format:fmt g in
+      let s = set_byte s 15 '\016' in
+      expect_parse_error "eager" (fun () -> Graph_io.of_binary_string s);
+      with_tmp_file (fun path ->
+          write_file path s;
+          expect_parse_error "file" (fun () -> Graph_io.load ~mmap:true path)))
+    [ Digraph.Flat; Digraph.Mapped ]
+
+(* A corrupt label-count field passes the mapped open's O(1) checks
+   but not validation: [label_count] must be 1 + the largest label. *)
+let mapped_label_count () =
+  let g, table = sample () in
+  let s = Graph_io.to_snapshot_string ~labels:table ~format:Digraph.Mapped g in
+  let b = Bytes.of_string s in
+  Bytes.set_int64_le b 24 (Int64.shift_left 1L 40);
+  with_tmp_file (fun path ->
+      write_file path (Bytes.to_string b);
+      let gm, _ = Graph_io.load ~mmap:true path in
+      Testutil.check_int "header trusted by the open" (1 lsl 40)
+        (Digraph.label_count gm);
+      (match Digraph.validate gm with
+      | () -> Alcotest.fail "validate accepted label_count 2^40"
+      | exception Failure _ -> ());
+      expect_parse_error "check_mapped" (fun () -> Graph_io.check_mapped gm));
+  expect_parse_error "eager" (fun () -> Graph_io.of_binary_string (Bytes.to_string b))
+
+(* The varint kind 'V' is gone: a 'C' or 'I' file whose nested blob
+   claims it is rejected with a typed parse error, eagerly and mapped. *)
+let varint_snapshot () =
+  let g, _ = sample () in
+  let expect_v what parse =
+    match parse () with
+    | _ -> Alcotest.failf "%s: 'V' blob accepted" what
+    | exception (Compressed_io.Parse_error (_, msg) | Reach_index_io.Parse_error (_, msg))
+      ->
+        Alcotest.(check string) what "unknown snapshot kind 'V'" msg
+  in
+  (* The first nested "QPGC" after the outer header; its kind byte set
+     to 'V'. *)
+  let nested_v s =
+    let rec find i = if String.sub s i 4 = "QPGC" then i else find (i + 1) in
+    set_byte s (find 8 + 4) 'V'
+  in
+  let c = nested_v (Compressed_io.to_binary_string (Compress_reach.compress g)) in
+  let i =
+    nested_v
+      (Reach_index_io.to_binary_string
+         (Reach_index.build ~algorithm:Reach_index.Grail g))
+  in
+  expect_v "C string" (fun () -> Compressed_io.of_binary_string c);
+  expect_v "I string" (fun () -> Reach_index_io.of_binary_string i);
+  List.iter
+    (fun mmap ->
+      with_tmp_file (fun path ->
+          write_file path c;
+          expect_v "C file" (fun () -> Compressed_io.load ~mmap path));
+      with_tmp_file (fun path ->
+          write_file path i;
+          expect_v "I file" (fun () -> Reach_index_io.load ~mmap path)))
+    [ false; true ]
+
+(* Every single-byte change to a 'G' or 'M' snapshot either fails with
+   [Parse_error] or yields a graph that validates and can be traversed
+   from every node — through the eager parser and through the mapped open
+   followed by [check_mapped]. *)
+let accepts_safely what g =
+  (match Digraph.validate g with
+  | () -> ()
+  | exception Failure msg ->
+      QCheck2.Test.fail_reportf "%s: accepted an invalid graph: %s" what msg);
+  for v = 0 to Digraph.n g - 1 do
+    match Traversal.descendants g v with
+    | _ -> ()
+    | exception e ->
+        QCheck2.Test.fail_reportf "%s: traversal from %d raised %s" what v
+          (Printexc.to_string e)
+  done
+
+let single_byte_prop fmt (g, mask) =
+  let table = Graph_io.Label_table.create () in
+  for l = 0 to Digraph.label_count g - 1 do
+    ignore (Graph_io.Label_table.intern table (Printf.sprintf "label%d" l))
+  done;
+  let s = Graph_io.to_snapshot_string ~labels:table ~format:fmt g in
+  for i = 0 to String.length s - 1 do
+    let s' = set_byte s i (Char.chr (Char.code s.[i] lxor mask)) in
+    let what path = Printf.sprintf "%s %s, byte %d ^ %d" (format_of_backend fmt) path i mask in
+    let check path load =
+      match load () with
+      | g' -> accepts_safely (what path) g'
+      | exception Graph_io.Parse_error _ -> ()
+      | exception e ->
+          QCheck2.Test.fail_reportf "%s: raised %s" (what path) (Printexc.to_string e)
+    in
+    check "eager" (fun () -> fst (Graph_io.of_binary_string s'));
+    with_tmp_file (fun path ->
+        write_file path s';
+        check "mapped" (fun () ->
+            let gm, _ = Graph_io.load ~mmap:true path in
+            Graph_io.check_mapped gm;
+            gm))
+  done;
+  true
 
 (* ------------------------------------------------------------------ *)
 (* Backend equivalence *)
 
-let backends_of g =
-  let gm =
-    with_tmp_file (fun path ->
-        Graph_io.save_binary ~format:Digraph.Mapped path g;
-        fst (Graph_io.load ~mmap:true path))
-  in
-  (* Keep the temp file unlinked-after-load: the mapping stays valid on
-     POSIX even after the unlink above. *)
-  [ ("flat", Digraph.to_flat g); ("mmap", gm); ("varint", Digraph.to_varint g) ]
+(* The temp file is unlinked after the load: the mapping stays valid on
+   POSIX. *)
+let mapped_of g =
+  with_tmp_file (fun path ->
+      Graph_io.save_binary ~format:Digraph.Mapped path g;
+      fst (Graph_io.load ~mmap:true path))
+
+let backends_of g = [ ("flat", Digraph.to_flat g); ("mmap", mapped_of g) ]
 
 let slices_equal (base_a, start_a, len_a) (base_b, start_b, len_b) =
   len_a = len_b
@@ -328,13 +357,13 @@ let compress_equiv_prop (g, domains) =
         (backends_of g));
   true
 
-(* Parallel slice decoding: concurrent succ_slice calls from several
-   domains must each see their own scratch buffer. *)
+(* Parallel slice copies: concurrent succ_slice calls on a mapped graph
+   from several domains must each see their own scratch buffer. *)
 let parallel_scratch_prop (g, domains) =
   let n = Digraph.n g in
   if n = 0 then true
   else begin
-    let gv = Digraph.to_varint g in
+    let gv = mapped_of g in
     let reference = Digraph.to_flat g in
     let expected =
       Array.init n (fun v ->
@@ -376,26 +405,33 @@ let arb_graph_domains =
   in
   (gen, fun (g, d) -> Printf.sprintf "%s domains=%d" (Testutil.digraph_print g) d)
 
+let arb_graph_mask =
+  let gen =
+    let open QCheck2.Gen in
+    let* g = Testutil.digraph_gen ~max_n:8 () in
+    let* mask = int_range 1 255 in
+    pure (g, mask)
+  in
+  (gen, fun (g, k) -> Printf.sprintf "%s mask=%d" (Testutil.digraph_print g) k)
+
 let format_props =
   [
     Testutil.qtest ~count:100 "mmap snapshot roundtrip is exact and canonical"
       arb_bigger
       (roundtrip_prop Digraph.Mapped);
-    Testutil.qtest ~count:100 "varint snapshot roundtrip is exact and canonical"
-      arb_bigger
-      (roundtrip_prop Digraph.Varint);
     Testutil.qtest ~count:100 "flat snapshot roundtrip is exact and canonical"
       arb_bigger
       (roundtrip_prop Digraph.Flat);
     Testutil.qtest ~count:25 "every mmap snapshot prefix is rejected" arb_graph
       (truncation_prop Digraph.Mapped);
-    Testutil.qtest ~count:25 "every varint snapshot prefix is rejected"
-      arb_graph
-      (truncation_prop Digraph.Varint);
     Testutil.qtest ~count:60 "mmap file load (eager and zero-copy)" arb_bigger
       mmap_load_prop;
-    Testutil.qtest ~count:100 "varint load lands on varint backend" arb_bigger
-      varint_backend_load_prop;
+    Testutil.qtest ~count:20 "single-byte flat corruption fails closed"
+      arb_graph_mask
+      (single_byte_prop Digraph.Flat);
+    Testutil.qtest ~count:20 "single-byte mmap corruption fails closed"
+      arb_graph_mask
+      (single_byte_prop Digraph.Mapped);
   ]
 
 let equivalence_props =
@@ -413,15 +449,12 @@ let equivalence_props =
 let () =
   Alcotest.run "storage"
     [
-      ( "codec",
-        [
-          Alcotest.test_case "varint roundtrip" `Quick codec_roundtrip;
-          Alcotest.test_case "varint errors" `Quick codec_errors;
-        ] );
       ( "corruption",
         [
           Alcotest.test_case "mapped snapshot" `Quick mapped_corruption;
-          Alcotest.test_case "varint snapshot" `Quick varint_corruption;
+          Alcotest.test_case "mapped label count" `Quick mapped_label_count;
+          Alcotest.test_case "count overflow" `Quick count_overflow;
+          Alcotest.test_case "varint snapshot" `Quick varint_snapshot;
         ] );
       ("format_props", format_props);
       ("equivalence", equivalence_props);

@@ -658,9 +658,9 @@ let obs01 =
 (* CSR02: the dense CSR escape hatch outside the storage layer *)
 
 (* The pluggable-backend refactor turned [Digraph.out_csr] / [in_csr] into
-   an escape hatch: on the mapped and varint backends each call forces (and
-   caches) a flat heap copy of the whole adjacency, silently defeating
-   zero-copy mmap loading and the compact encoding.  The storage layer
+   an escape hatch: on the mapped backend each call forces (and caches) a
+   flat heap copy of the whole adjacency, silently defeating zero-copy
+   mmap loading.  The storage layer
    itself (lib/graph) owns the representation and may use them freely;
    everywhere else iterates through the backend-polymorphic accessors, and
    the few kernels that genuinely need dense arrays carry a justified
@@ -682,9 +682,9 @@ let csr02 =
     hot_only = false;
     doc =
       "Dense CSR views (Digraph.out_csr, Digraph.in_csr) outside lib/graph: \
-       on the mapped and varint storage backends each call forces and \
-       caches a flat heap copy of the entire adjacency, defeating zero-copy \
-       mmap loading and the compact encoding. Iterate with Digraph.iter_succ \
+       on the mapped storage backend each call forces and caches a flat \
+       heap copy of the entire adjacency, defeating zero-copy mmap \
+       loading. Iterate with Digraph.iter_succ \
        / fold_succ / succ_slice (and the *_pred mirrors), which dispatch per \
        backend without materializing; a kernel that genuinely needs the \
        dense arrays suppresses with `lint: allow CSR02` plus a \
@@ -705,7 +705,7 @@ let csr02 =
                           (Printf.sprintf
                              "`%s` materializes the dense CSR outside \
                               lib/graph, forcing a full heap copy on the \
-                              mapped and varint backends; iterate with \
+                              mapped backend; iterate with \
                               Digraph.iter_succ / fold_succ / succ_slice \
                               (or *_pred), or suppress with `lint: allow \
                               CSR02` where the dense arrays are genuinely \
